@@ -342,9 +342,9 @@ func BenchmarkFleetRun(b *testing.B) {
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
 		counts = append(counts, p)
 	}
-	runBatch := func(b *testing.B, workers int, jobs []repro.Job) {
+	runBatch := func(b *testing.B, workers int, jobs []repro.Job, mode repro.EventMode) {
 		b.Helper()
-		fl := repro.NewFleet(repro.FleetConfig{Workers: workers, Seed: 42})
+		fl := repro.NewFleet(repro.FleetConfig{Workers: workers, Seed: 42, Event: mode})
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -359,7 +359,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	}
 	for _, workers := range counts {
 		b.Run("workers-"+itoa(workers), func(b *testing.B) {
-			runBatch(b, workers, jobs)
+			runBatch(b, workers, jobs, repro.EventOff)
 		})
 	}
 	// Trace-free variant: the memory diet for population sweeps that only
@@ -371,65 +371,15 @@ func BenchmarkFleetRun(b *testing.B) {
 	}
 	b.Run("workers-1-tracefree", func(b *testing.B) {
 		b.ReportAllocs()
-		runBatch(b, 1, free)
-	})
-	// Cohort-batched lockstep engine (trace-free, same jobs): the whole
-	// batch shares one device configuration and duration, so it advances as
-	// one cohort with a fused mat-mat per tick. Reported against
-	// workers-1-tracefree, this is the batching speedup.
-	b.Run("batched", func(b *testing.B) {
-		fl := repro.NewFleet(repro.FleetConfig{Workers: 1, Seed: 42, Runner: repro.NewBatchRunner()})
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			results := fl.Run(ctx, free)
-			for _, r := range results {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(free))*float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
+		runBatch(b, 1, free, repro.EventOff)
 	})
 	// Event-driven engine (trace-free, same jobs): inter-event gaps fold
 	// into held-input segments with dt-ladder physics jumps instead of
 	// per-tick stepping. Reported against workers-1-tracefree, this is the
 	// event speedup (the PR 9 acceptance ratio).
 	b.Run("workers-1-tracefree-event", func(b *testing.B) {
-		fl := repro.NewFleet(repro.FleetConfig{Workers: 1, Seed: 42, Event: repro.EventJump})
-		ctx := context.Background()
 		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			results := fl.Run(ctx, free)
-			for _, r := range results {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(free))*float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
-	})
-	// Batched runner under the event engine: grouping, pooling and
-	// reporting go through BatchRunner while each phone runs its own event
-	// loop.
-	b.Run("batched-event", func(b *testing.B) {
-		fl := repro.NewFleet(repro.FleetConfig{
-			Workers: 1, Seed: 42, Runner: repro.NewBatchRunner(), Event: repro.EventJump,
-		})
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			results := fl.Run(ctx, free)
-			for _, r := range results {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-		}
-		b.ReportMetric(float64(len(free))*float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
+		runBatch(b, 1, free, repro.EventJump)
 	})
 }
 

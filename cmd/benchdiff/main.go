@@ -227,7 +227,9 @@ func matchNames(seed, pr metrics) map[string]string {
 // higher-is-better: anything per second. PR benchmarks with no baseline
 // counterpart — the benches a perf PR introduces — are listed as "new"
 // informational lines rather than silently skipped, so they are visible in
-// CI diffs from the run that adds them.
+// CI diffs from the run that adds them; baseline benchmarks missing from
+// the PR run — benches a PR deletes or renames — are listed as "gone" the
+// same way. Neither kind counts toward the warn threshold or the gate.
 func compare(seed, pr metrics, threshold float64, gate gateSpec, out io.Writer) (regressions, gated int) {
 	pairs := matchNames(seed, pr)
 	names := make([]string, 0, len(pairs))
@@ -270,23 +272,40 @@ func compare(seed, pr metrics, threshold float64, gate gateSpec, out io.Writer) 
 	for _, prName := range pairs {
 		matchedPR[prName] = true
 	}
-	var fresh []string
-	for name := range pr {
-		if !matchedPR[name] {
-			fresh = append(fresh, name)
-		}
+	for _, m := range unpaired(pr, func(name string) bool { return matchedPR[name] }) {
+		fmt.Fprintf(w, "+ %-50s %14s %14s → %-14.4g (new, no baseline)\n", m.name, m.unit, "—", m.value)
 	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		for _, unit := range sortedUnits(pr[name]) {
-			lowerBetter, rate := unitDirection(unit)
-			if !lowerBetter && !rate {
-				continue
-			}
-			fmt.Fprintf(w, "+ %-50s %14s %14s → %-14.4g (new, no baseline)\n", name, unit, "—", pr[name][unit])
-		}
+	for _, m := range unpaired(seed, func(name string) bool { return pairs[name] != "" }) {
+		fmt.Fprintf(w, "- %-50s %14s %14.4g → %-14s (gone, not in this run)\n", m.name, m.unit, m.value, "—")
 	}
 	return regressions, gated
+}
+
+// metric is one benchmark's value in one unit.
+type metric struct {
+	name, unit string
+	value      float64
+}
+
+// unpaired returns the perf metrics of every benchmark in m that paired
+// reports false for, in name then unit order.
+func unpaired(m metrics, paired func(string) bool) []metric {
+	var names []string
+	for name := range m {
+		if !paired(name) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var out []metric
+	for _, name := range names {
+		for _, unit := range sortedUnits(m[name]) {
+			if lowerBetter, rate := unitDirection(unit); lowerBetter || rate {
+				out = append(out, metric{name, unit, m[name][unit]})
+			}
+		}
+	}
+	return out
 }
 
 // unitDirection classifies a benchmark unit.

@@ -185,3 +185,40 @@ func TestCompareReportsNewBenchmarks(t *testing.T) {
 		t.Fatalf("disjoint compare output wrong:\n%s", out.String())
 	}
 }
+
+// TestCompareReportsGoneBenchmarks mirrors the new-bench lines: a baseline
+// benchmark missing from the PR run (deleted or renamed) prints an
+// informational "gone" line per perf metric, never a regression and never
+// a gate trip, and a benchmark matched modulo a GOMAXPROCS suffix is not
+// reported gone.
+func TestCompareReportsGoneBenchmarks(t *testing.T) {
+	seed := metrics{
+		"BenchmarkFleetRun/workers-1":  {"ns/op": 1e9, "jobs/sec": 900},
+		"BenchmarkFleetRun/retired":    {"ns/op": 5e8, "jobs/sec": 1800, "peak-C": 38.0},
+		"BenchmarkPropagatorAdvance-8": {"ns/op": 140},
+	}
+	pr := metrics{
+		"BenchmarkFleetRun/workers-1": {"ns/op": 1e9, "jobs/sec": 905},
+		"BenchmarkPropagatorAdvance":  {"ns/op": 141},
+	}
+	var out strings.Builder
+	n, gated := compare(seed, pr, 0.25, gateSpec{pct: 15, match: "BenchmarkFleetRun"}, &out)
+	if n != 0 || gated != 0 {
+		t.Fatalf("gone benchmark counted: %d regressions, %d gated:\n%s", n, gated, out.String())
+	}
+	text := out.String()
+	for _, want := range []string{"- BenchmarkFleetRun/retired", "jobs/sec", "ns/op", "gone, not in this run"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("gone benchmark line missing %q:\n%s", want, text)
+		}
+	}
+	if got := strings.Count(text, "(gone, not in this run)"); got != 2 {
+		t.Fatalf("%d gone lines, want 2 (jobs/sec and ns/op of the retired bench):\n%s", got, text)
+	}
+	if strings.Contains(text, "peak-C") {
+		t.Fatalf("domain metric of a gone benchmark reported:\n%s", text)
+	}
+	if strings.Contains(text, "- BenchmarkPropagatorAdvance") {
+		t.Fatalf("suffix-matched benchmark reported gone:\n%s", text)
+	}
+}

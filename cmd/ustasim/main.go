@@ -52,7 +52,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS); results are identical at any width")
 		shards     = flag.Int("shards", 0, "run the scenario across this many worker processes (0 = in-process); results are identical either way")
 		hosts      = flag.String("hosts", "", "comma-separated ustaworker -listen daemon addresses to dispatch the scenario to (overrides -shards); results are identical either way")
-		batch      = flag.Bool("batch", false, "run the scenario on the cohort-batched lockstep engine; results are identical, sweeps over shared device configs run faster")
 		event      = flag.String("event", "off", "scenario stepping engine: off|tick|oracle|jump (tick is byte-identical to off; jump replays scheduling exactly with held-input thermal tolerance)")
 		fallbk     = flag.Bool("local-fallback", false, "with -hosts: when every host stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
 		statsJSON  = flag.String("stats-json", "", "with -hosts: write the coordinator's end-of-run RunnerStats snapshot (redials, hedges, breaker states) to this JSON file")
@@ -73,10 +72,6 @@ func main() {
 	}
 	if *hosts != "" && *scenPath == "" {
 		fmt.Fprintln(os.Stderr, "ustasim: -hosts requires -scenario")
-		os.Exit(1)
-	}
-	if *batch && *scenPath == "" {
-		fmt.Fprintln(os.Stderr, "ustasim: -batch requires -scenario")
 		os.Exit(1)
 	}
 	if *fallbk && *hosts == "" {
@@ -112,7 +107,7 @@ func main() {
 		experiment: *exp, scenPath: *scenPath, jsonlPath: *jsonlPath,
 		scale: *scale, seed: *seed, corpusSec: *corpusSec,
 		mlpEpochs: *mlpEpochs, csvDir: *csvDir, repN: *repN,
-		workers: *workers, shards: *shards, hosts: *hosts, batch: *batch,
+		workers: *workers, shards: *shards, hosts: *hosts,
 		localFallback: *fallbk, statsPath: *statsJSON, event: *event,
 		walPath: *walPath, resume: *resume,
 	}
@@ -183,7 +178,6 @@ type cliOptions struct {
 	workers       int
 	shards        int
 	hosts         string
-	batch         bool
 	localFallback bool
 	statsPath     string
 	event         string

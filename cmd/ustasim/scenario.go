@@ -19,8 +19,7 @@ import (
 // An optional JSONL path streams every telemetry sample; an optional CSV
 // directory receives the aggregate tables. shards != 0 fans the grid out
 // across worker subprocesses, a non-empty hosts list dispatches shards to
-// long-lived `ustaworker -listen` daemons over TCP (overriding shards),
-// and batch runs cohorts of grid cells in lockstep on the batched engine —
+// long-lived `ustaworker -listen` daemons over TCP (overriding shards) —
 // aggregates and streams are identical under every combination.
 // localFallback lets a hosts run finish on the in-process pool when every
 // host stays down past the coordinator's recovery deadline. event selects
@@ -77,9 +76,6 @@ func runScenario(o cliOptions, out io.Writer) error {
 		}
 	case o.shards != 0:
 		opts = append(opts, repro.ScenarioShards(o.shards))
-	}
-	if o.batch {
-		opts = append(opts, repro.WithBatchedRunner())
 	}
 	if mode != repro.EventOff {
 		opts = append(opts, repro.ScenarioEventMode(mode))

@@ -96,8 +96,8 @@ func requireRunsIdentical(t *testing.T, label string, got, want []repro.JobResul
 // TestEventTickMatchesOffTable1 is the event plumbing's acceptance pin:
 // EventTick routes the whole Table 1 grid — USTA controllers included —
 // through the event engine with every tick canonical, and must be
-// byte-identical to the plain loop on the local, batched and sharded
-// runners, traced and trace-free.
+// byte-identical to the plain loop on the local and sharded runners,
+// traced and trace-free.
 func TestEventTickMatchesOffTable1(t *testing.T) {
 	for _, traceFree := range []bool{false, true} {
 		mode := "traced"
@@ -110,10 +110,6 @@ func TestEventTickMatchesOffTable1(t *testing.T) {
 			repro.ScenarioWorkers(runtime.GOMAXPROCS(0)), repro.ScenarioEventMode(repro.EventTick))
 		requireRunsIdentical(t, "tick local "+mode, got, ref, gotSink, refSink)
 
-		got, gotSink = eventExec(t, "tick batched "+mode, traceFree,
-			repro.ScenarioEventMode(repro.EventTick), repro.WithBatchedRunner())
-		requireRunsIdentical(t, "tick batched "+mode, got, ref, gotSink, refSink)
-
 		if !traceFree {
 			got, gotSink = eventExec(t, "tick sharded", traceFree,
 				repro.ScenarioEventMode(repro.EventTick), repro.ScenarioShards(2))
@@ -125,8 +121,8 @@ func TestEventTickMatchesOffTable1(t *testing.T) {
 // TestEventJumpRunnerInvariance pins the jump engine's determinism
 // contract: the mode changes the numbers relative to the tick oracle
 // (held-input discretization), but those numbers must not depend on the
-// runner shape or parallelism — local at 1 worker, local at GOMAXPROCS,
-// batched and sharded all byte-identical.
+// runner shape or parallelism — local at 1 worker, local at GOMAXPROCS
+// and sharded all byte-identical.
 func TestEventJumpRunnerInvariance(t *testing.T) {
 	ref, refSink := eventExec(t, "jump w1", false,
 		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
@@ -134,10 +130,6 @@ func TestEventJumpRunnerInvariance(t *testing.T) {
 	got, gotSink := eventExec(t, "jump wN", false,
 		repro.ScenarioWorkers(runtime.GOMAXPROCS(0)), repro.ScenarioEventMode(repro.EventJump))
 	requireRunsIdentical(t, "jump wN", got, ref, gotSink, refSink)
-
-	got, gotSink = eventExec(t, "jump batched", false,
-		repro.ScenarioEventMode(repro.EventJump), repro.WithBatchedRunner())
-	requireRunsIdentical(t, "jump batched", got, ref, gotSink, refSink)
 
 	got, gotSink = eventExec(t, "jump sharded", false,
 		repro.ScenarioEventMode(repro.EventJump), repro.ScenarioShards(2))
@@ -172,7 +164,7 @@ func TestEventJumpCloseToOracleTable1(t *testing.T) {
 		}
 		for ci, c := range temps {
 			if d := math.Abs(c[0] - c[1]); d > tempTol {
-				t.Errorf("job %d (%s) temp cell %d off by %.4f °C (jump %.4f, oracle %.4f)",
+				t.Errorf("job %d (%s) temp cell %d off by %.4f °C (jump %.4f, off %.4f)",
 					i, ref[i].Name, ci, d, c[0], c[1])
 			}
 		}
@@ -182,7 +174,7 @@ func TestEventJumpCloseToOracleTable1(t *testing.T) {
 		}
 		for ci, c := range rels {
 			if d := rel(c[0], c[1]); d > relTol {
-				t.Errorf("job %d (%s) aggregate cell %d rel err %.4f (jump %v, oracle %v)",
+				t.Errorf("job %d (%s) aggregate cell %d rel err %.4f (jump %v, off %v)",
 					i, ref[i].Name, ci, d, c[0], c[1])
 			}
 		}

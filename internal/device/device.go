@@ -9,6 +9,7 @@ package device
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/battery"
@@ -19,6 +20,10 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// ErrNilWorkload is returned by the run entry points when handed a nil
+// workload (e.g. the result of looking up an unknown workload name).
+var ErrNilWorkload = errors.New("device: run with nil workload")
 
 // Controller is a thermal-management hook driven at its own period. USTA
 // (package core) implements it; a nil controller reproduces the stock
@@ -341,8 +346,11 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // within one StepSec of simulated progress. On early stop it returns the
 // partial result aggregated over the steps that did execute, together with
 // the context's error. The loop body lives in StepRun — the same ticks the
-// fleet's batched runner drives in lockstep.
+// event engine runs canonically. A nil workload is an error, not a panic.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
+	if w == nil {
+		return nil, ErrNilWorkload
+	}
 	r := p.StartRun(w, dur)
 	for r.Done() < r.Steps() {
 		if err := ctx.Err(); err != nil {
@@ -353,22 +361,6 @@ func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64
 		r.PostStep()
 	}
 	return r.Finish(nil)
-}
-
-// step advances one base tick, sampling the workload through the run's
-// sampler (a Cursored fast path when the workload offers one). It returns
-// the workload's CPU demand in aggregate core-MHz so RunContext can
-// account work without re-sampling the workload. The tick is split around
-// the thermal integration — stepPre (demand, power injection, touch),
-// Network.Step, stepPost (clock, sensors, governor, controller) — so the
-// fleet's lockstep batch engine can advance many phones' thermal networks
-// with one fused kernel while running the exact same pre/post code per
-// phone.
-func (p *Phone) step(at func(float64) workload.Sample, dt float64) (demandMHz float64) {
-	demand := p.stepPre(at(p.timeSec), dt)
-	p.net.Step(dt)
-	p.stepPost(dt)
-	return demand
 }
 
 // stepPre runs everything that precedes the tick's thermal integration:

@@ -1,6 +1,8 @@
 package device
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -36,6 +38,21 @@ func TestMustNewPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StepSec = -1
 	MustNew(cfg, nil)
+}
+
+// TestRunNilWorkloadErrors pins that both run entry points reject a nil
+// workload with ErrNilWorkload instead of dereferencing it, under every
+// stepping engine.
+func TestRunNilWorkloadErrors(t *testing.T) {
+	p := MustNew(DefaultConfig(), nil)
+	if res, err := p.RunContext(context.Background(), nil, 0); !errors.Is(err, ErrNilWorkload) || res != nil {
+		t.Fatalf("RunContext(nil) = %v, %v; want nil, ErrNilWorkload", res, err)
+	}
+	for _, mode := range []EventMode{EventOff, EventTick, EventOracle, EventJump} {
+		if res, err := p.RunEventContext(context.Background(), nil, 0, mode); !errors.Is(err, ErrNilWorkload) || res != nil {
+			t.Fatalf("RunEventContext(nil, %v) = %v, %v; want nil, ErrNilWorkload", mode, res, err)
+		}
+	}
 }
 
 func TestDefaultGovernorIsOndemand(t *testing.T) {

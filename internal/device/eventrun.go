@@ -157,9 +157,6 @@ func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) 
 	return NewEventRun(p.StartRun(w, dur), w, mode)
 }
 
-// Run returns the underlying StepRun.
-func (e *EventRun) Run() *StepRun { return e.r }
-
 // Mode returns the effective mode (after any degradation to EventTick).
 func (e *EventRun) Mode() EventMode { return e.mode }
 
@@ -171,8 +168,12 @@ func (e *EventRun) Finish(err error) (*RunResult, error) { return e.r.Finish(err
 
 // RunEventContext is RunContext on the event engine: segment-granular
 // cancellation (a segment is at most one record period of simulated time).
-// mode EventOff delegates to the plain tick loop.
+// mode EventOff delegates to the plain tick loop. A nil workload is an
+// error, not a panic.
 func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur float64, mode EventMode) (*RunResult, error) {
+	if w == nil {
+		return nil, ErrNilWorkload
+	}
 	if mode == EventOff {
 		return p.RunContext(ctx, w, dur)
 	}

@@ -84,8 +84,8 @@ func startServer(t *testing.T, s *fleetnet.Server) string {
 }
 
 // TestNetRunnerMatchesLocal is the distributed determinism contract: the
-// same batch through two TCP worker daemons — batched or not — must be
-// byte-identical to the in-process pool: results, seeds, telemetry.
+// same batch through two TCP worker daemons must be byte-identical to the
+// in-process pool: results, seeds, telemetry.
 func TestNetRunnerMatchesLocal(t *testing.T) {
 	const n = 8
 	cfg := fleet.Config{Workers: 2, Seed: 42}
@@ -101,31 +101,28 @@ func TestNetRunnerMatchesLocal(t *testing.T) {
 	if err := fleet.FirstError(ref); err != nil {
 		t.Fatal(err)
 	}
-	for _, batched := range []bool{false, true} {
-		addr1 := startServer(t, &fleetnet.Server{Capacity: 2})
-		addr2 := startServer(t, &fleetnet.Server{Capacity: 2})
-		nr := fleetnet.New([]string{addr1, addr2})
-		nr.Batched = batched
-		nr.ShardSize = 2
-		got, gotTally := run(nr)
-		if err := fleet.FirstError(got); err != nil {
-			t.Fatalf("batched=%v: %v", batched, err)
+	addr1 := startServer(t, &fleetnet.Server{Capacity: 2})
+	addr2 := startServer(t, &fleetnet.Server{Capacity: 2})
+	nr := fleetnet.New([]string{addr1, addr2})
+	nr.ShardSize = 2
+	got, gotTally := run(nr)
+	if err := fleet.FirstError(got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref {
+		a, b := ref[i], got[i]
+		if b.Index != a.Index || b.Name != a.Name || b.SeedUsed != a.SeedUsed {
+			t.Fatalf("job %d: metadata diverged: %+v vs %+v", i, b, a)
 		}
-		for i := range ref {
-			a, b := ref[i], got[i]
-			if b.Index != a.Index || b.Name != a.Name || b.SeedUsed != a.SeedUsed {
-				t.Fatalf("batched=%v job %d: metadata diverged: %+v vs %+v", batched, i, b, a)
-			}
-			if b.Result.EnergyJ != a.Result.EnergyJ || b.Result.MaxSkinC != a.Result.MaxSkinC ||
-				b.Result.AvgFreqMHz != a.Result.AvgFreqMHz || b.Result.WorkDone != a.Result.WorkDone {
-				t.Fatalf("batched=%v job %d: aggregates diverged", batched, i)
-			}
+		if b.Result.EnergyJ != a.Result.EnergyJ || b.Result.MaxSkinC != a.Result.MaxSkinC ||
+			b.Result.AvgFreqMHz != a.Result.AvgFreqMHz || b.Result.WorkDone != a.Result.WorkDone {
+			t.Fatalf("job %d: aggregates diverged", i)
 		}
-		for i := 0; i < n; i++ {
-			if gotTally.counts[i] != refTally.counts[i] || gotTally.sums[i] != refTally.sums[i] {
-				t.Fatalf("batched=%v job %d: telemetry diverged: %d/%v samples vs local %d/%v",
-					batched, i, gotTally.counts[i], gotTally.sums[i], refTally.counts[i], refTally.sums[i])
-			}
+	}
+	for i := 0; i < n; i++ {
+		if gotTally.counts[i] != refTally.counts[i] || gotTally.sums[i] != refTally.sums[i] {
+			t.Fatalf("job %d: telemetry diverged: %d/%v samples vs local %d/%v",
+				i, gotTally.counts[i], gotTally.sums[i], refTally.counts[i], refTally.sums[i])
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/device"
-	"repro/internal/thermal"
 )
 
 // phonePool recycles device.Phone allocations across the jobs of one batch.
@@ -19,12 +18,6 @@ import (
 type phonePool struct {
 	mu    sync.Mutex
 	byCfg map[*device.Config]*sync.Pool
-	// limit, when positive, caps how many distinct config keys the pool
-	// tracks: inserting past it drops the whole map. Per-batch pools leave
-	// it zero (the batch bounds their lifetime); persistent cross-run pools
-	// set it so a stream of never-repeated Job.Device pointers cannot pin
-	// an unbounded set of dead configs.
-	limit int
 }
 
 // newPhonePool creates an empty pool for one batch. Scoping the pool to a
@@ -32,21 +25,6 @@ type phonePool struct {
 // long as the batch that handed them out.
 func newPhonePool() *phonePool {
 	return &phonePool{byCfg: make(map[*device.Config]*sync.Pool)}
-}
-
-// maxPersistentConfigs bounds the config-key set of a persistent pool. A
-// runner cycles through a handful of device configurations in practice;
-// 64 distinct live keys means the caller is generating configs per run,
-// and recycling stops paying anyway.
-const maxPersistentConfigs = 64
-
-// newPersistentPhonePool creates a pool meant to outlive any single batch:
-// phone allocations carry over from one Run call to the next (the batched
-// runner's waves need cohort-width simultaneous phones, so only cross-run
-// reuse amortizes their construction). Contents remain reclaimable — the
-// per-key stores are sync.Pools, which the GC empties under pressure.
-func newPersistentPhonePool() *phonePool {
-	return &phonePool{byCfg: make(map[*device.Config]*sync.Pool), limit: maxPersistentConfigs}
 }
 
 // get returns a previously pooled phone for the config key, or nil when the
@@ -71,44 +49,9 @@ func (p *phonePool) put(key *device.Config, ph *device.Phone) {
 	p.mu.Lock()
 	sp := p.byCfg[key]
 	if sp == nil {
-		if p.limit > 0 && len(p.byCfg) >= p.limit {
-			p.byCfg = make(map[*device.Config]*sync.Pool)
-		}
 		sp = &sync.Pool{}
 		p.byCfg[key] = sp
 	}
 	p.mu.Unlock()
 	sp.Put(ph)
-}
-
-// lockstepPool recycles thermal.Lockstep instances — and with them the
-// StateBlock arenas and per-tick regrouping scratch — across the batched
-// runner's waves. A wave's lockstep is shape-bound (node count × column
-// capacity), so reuse goes through Lockstep.Reset: when a pooled
-// instance cannot hold the next cohort the wave simply builds a fresh
-// one, and the larger of the two returns to the pool afterwards. A nil
-// *lockstepPool is valid and means "no recycling" (the per-Run batched
-// path).
-type lockstepPool struct {
-	p sync.Pool
-}
-
-// get returns a lockstep enrolled over nets, recycled when a pooled
-// instance fits the cohort's shape.
-func (lp *lockstepPool) get(nets []*thermal.Network) (*thermal.Lockstep, error) {
-	if lp != nil {
-		if ls, ok := lp.p.Get().(*thermal.Lockstep); ok && ls != nil {
-			if ls.Reset(nets) == nil {
-				return ls, nil
-			}
-		}
-	}
-	return thermal.NewLockstep(nets)
-}
-
-// put returns a closed (scattered) lockstep to the pool.
-func (lp *lockstepPool) put(ls *thermal.Lockstep) {
-	if lp != nil && ls != nil {
-		lp.p.Put(ls)
-	}
 }

@@ -28,12 +28,6 @@ const crashEnv = "USTA_SHARD_CRASH_ON_INDEX"
 // IsWorker reports whether this process was spawned as a shard worker.
 func IsWorker() bool { return os.Getenv(workerEnv) == "1" }
 
-// batchedRunner is shared by every batched shard this process serves: a
-// long-lived worker daemon recycles phone allocations across requests
-// instead of rebuilding each cohort from scratch. (One-shot pipe workers
-// serve a single request; they neither gain nor lose.)
-var batchedRunner = fleet.NewBatchRunner()
-
 // Main serves one shard over stdin/stdout and exits, when the current
 // process was spawned as a shard worker; otherwise it is a no-op. Call it
 // at the top of main() — before flag parsing — in any binary that
@@ -142,11 +136,7 @@ func ServeRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.
 			os.Exit(3)
 		}
 	}
-	var runner fleet.Runner = fleet.LocalRunner{}
-	if req.Batched {
-		runner = batchedRunner
-	}
-	runner.Run(ctx, cfg, jobs)
+	fleet.LocalRunner{}.Run(ctx, cfg, jobs)
 	mu.Lock()
 	err = resErr
 	mu.Unlock()

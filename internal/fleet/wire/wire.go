@@ -101,7 +101,10 @@ type HelloFrame struct {
 // ShardRequest is the coordinator's single message to a worker: the
 // shard's job specs (seeds already resolved, indices global), the
 // in-process pool width, an optional serialized predictor backing "usta"
-// specs, and whether to stream telemetry samples back.
+// specs, and whether to stream telemetry samples back. ReadFrame rejects
+// unknown fields, so a request carrying a field this build does not know
+// fails with ErrBadFrame instead of running with the field silently
+// ignored.
 type ShardRequest struct {
 	Jobs []fleet.JobSpec `json:"jobs"`
 	// Workers is the worker process's in-process pool width (<= 0:
@@ -112,11 +115,6 @@ type ShardRequest struct {
 	// WantSamples asks the worker to forward every telemetry sample as a
 	// TypeSample frame tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
-	// Batched asks the worker to execute its shard on the cohort-batched
-	// lockstep runner (fleet.BatchRunner) instead of the per-job pool.
-	// Results are byte-identical either way; this is purely a throughput
-	// knob for shards whose jobs share device configurations.
-	Batched bool `json:"batched,omitempty"`
 	// Event selects the worker's stepping engine (a device.EventMode
 	// value; 0 is the plain fixed-tick loop). Carried as an int so the
 	// wire package stays free of behavioral coupling; the worker converts

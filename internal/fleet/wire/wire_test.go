@@ -121,6 +121,7 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"sample frame without payload", writeRaw([]byte(`{"v":1,"type":"sample"}`)), ErrBadFrame},
 		{"result frame without payload", writeRaw([]byte(`{"v":1,"type":"result"}`)), ErrBadFrame},
 		{"error frame without message", writeRaw([]byte(`{"v":1,"type":"error"}`)), ErrBadFrame},
+		{"shard request with retired batched flag", writeRaw([]byte(`{"v":1,"type":"shard","shard":{"jobs":[],"batched":true}}`)), ErrBadFrame},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

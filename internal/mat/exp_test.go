@@ -113,3 +113,46 @@ func TestExpRejectsNonSquare(t *testing.T) {
 		t.Fatal("expected shape error")
 	}
 }
+
+// refAdvance is an order-naive reference of the fused map out = a·x + b·y +
+// u*s + v, used only to pin MulAddVec's value to within rounding slack.
+func refAdvance(n int, a, b, u, v []float64, s float64, x, y []float64) []float64 {
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		acc := u[i]*s + v[i]
+		for j := 0; j < n; j++ {
+			acc += a[i*n+j]*x[j] + b[i*n+j]*y[j]
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+func randSlice(rng *rand.Rand, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = rng.NormFloat64() * 50
+	}
+	return out
+}
+
+// TestMulAddVecMatchesReference checks the 4-accumulator kernel against the
+// naive sum within rounding tolerance across sizes (including the n = 8
+// phone case and the j-tail sizes around it).
+func TestMulAddVecMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 13} {
+		a, b := randSlice(rng, n*n), randSlice(rng, n*n)
+		u, v := randSlice(rng, n), randSlice(rng, n)
+		x, y := randSlice(rng, n), randSlice(rng, n)
+		s := rng.NormFloat64()
+		out := make([]float64, n)
+		MulAddVec(n, a, b, u, v, s, x, y, out)
+		want := refAdvance(n, a, b, u, v, s, x, y)
+		for i := range out {
+			if d := math.Abs(out[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
+				t.Fatalf("n=%d out[%d] = %v, reference %v (Δ %g)", n, i, out[i], want[i], d)
+			}
+		}
+	}
+}

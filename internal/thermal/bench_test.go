@@ -3,8 +3,7 @@ package thermal
 import "testing"
 
 // BenchmarkPropagatorAdvance measures the single-network exact advance —
-// the per-tick mat-vec the fleet hot loop was dominated by before cohort
-// batching.
+// the per-tick mat-vec of the fixed-tick engine.
 func BenchmarkPropagatorAdvance(b *testing.B) {
 	net, nodes := NewPhone(DefaultPhoneConfig())
 	net.SetPower(nodes.Die, 2.5)
@@ -14,47 +13,4 @@ func BenchmarkPropagatorAdvance(b *testing.B) {
 		net.Step(0.05)
 	}
 	b.ReportMetric(net.Temp(nodes.Die), "die-C")
-}
-
-// BenchmarkAdvanceBatch measures the lockstep cohort advance at several
-// widths; ns/op is normalized per network-step, so the win over
-// BenchmarkPropagatorAdvance is directly readable.
-func BenchmarkAdvanceBatch(b *testing.B) {
-	for _, cols := range []int{1, 8, 64, 256} {
-		b.Run("cols-"+itoa(cols), func(b *testing.B) {
-			nets := make([]*Network, cols)
-			for i := range nets {
-				net, nodes := NewPhone(DefaultPhoneConfig())
-				net.SetPower(nodes.Die, 2.0+0.01*float64(i))
-				nets[i] = net
-			}
-			ls, err := NewLockstep(nets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ls.Step(0.05) // warm caches
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ls.Step(0.05)
-			}
-			b.StopTimer()
-			perStep := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(cols)
-			b.ReportMetric(perStep, "ns/net-step")
-			ls.Close()
-		})
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
 }

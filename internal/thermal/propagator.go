@@ -250,20 +250,10 @@ func (n *Network) buildPropagator(dt float64) *propagator {
 }
 
 // advance applies the propagator to the network state: one fused dense
-// mat-vec over the temperatures and the power vector (mat.MulAddVec — the
-// same kernel the batched cohort advance replays per column, which is what
-// keeps lockstep runs bit-identical to solo ones). The state and scratch
-// slices are swapped instead of copied.
+// mat-vec over the temperatures and the power vector (mat.MulAddVec). The
+// state and scratch slices are swapped instead of copied.
 func (p *propagator) advance(n *Network) {
 	temps, out := n.temps, n.tmp
 	mat.MulAddVec(len(temps), p.a, p.w, p.vAmb, p.vFixed, n.ambient, temps, n.power, out)
 	n.temps, n.tmp = out, temps
-}
-
-// advanceBatch applies the propagator to a sub-cohort of state columns —
-// those selected by idx, or all of them when idx is nil — with one fused
-// mat-mat (mat.MulBatch). The caller (Lockstep) owns the column views and
-// the plane swap.
-func (p *propagator) advanceBatch(n int, amb []float64, xs, ys, outs [][]float64, idx []int) {
-	mat.MulBatch(n, p.a, p.w, p.vAmb, p.vFixed, amb, xs, ys, outs, idx)
 }

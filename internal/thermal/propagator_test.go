@@ -172,3 +172,32 @@ func TestStepMatchesStepRK4Defaults(t *testing.T) {
 		t.Fatalf("engines disagree: exact %.8f vs RK4 %.8f", cooledExact, m.Temp(b))
 	}
 }
+
+// TestPropagatorForHitsSharedCacheOnce pins the fleet-relevant behaviour:
+// two networks with identical configurations share one matrix-exponential
+// build — the second network's local-cache miss is a shared-cache hit.
+func TestPropagatorForHitsSharedCacheOnce(t *testing.T) {
+	cfg := DefaultPhoneConfig()
+	// A distinctive dt keeps this test's key out of other tests' way.
+	const dt = 0.05 + 1e-9
+	h0, m0 := sharedProps.stats()
+	a, _ := NewPhone(cfg)
+	b, _ := NewPhone(cfg)
+	a.Step(dt)
+	b.Step(dt)
+	h1, m1 := sharedProps.stats()
+	if m1-m0 != 1 {
+		t.Fatalf("shared cache misses = %d, want exactly 1 build for two identical networks", m1-m0)
+	}
+	if h1-h0 != 1 {
+		t.Fatalf("shared cache hits = %d, want exactly 1 (second network reuses the build)", h1-h0)
+	}
+	// Subsequent steps are served by the per-network MRU: no new shared
+	// traffic at all.
+	a.Step(dt)
+	b.Step(dt)
+	h2, m2 := sharedProps.stats()
+	if h2 != h1 || m2 != m1 {
+		t.Fatalf("per-network MRU bypass failed: shared stats moved %d/%d → %d/%d", h1, m1, h2, m2)
+	}
+}

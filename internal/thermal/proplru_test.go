@@ -77,3 +77,36 @@ func TestSharedPropagatorCacheStaysBounded(t *testing.T) {
 		t.Fatalf("shared cache grew to %d entries, cap is %d", n, maxSharedPropagators)
 	}
 }
+
+// TestPropLRUGetOrBuild pins the single-critical-section cache API: one
+// build per key, hits counted, nil builds not cached.
+func TestPropLRUGetOrBuild(t *testing.T) {
+	c := newPropLRU(4)
+	key := propKey{sig: 99, dt: 0.05}
+	builds := 0
+	build := func() *propagator { builds++; return &propagator{sig: 99, dt: 0.05} }
+	p1 := c.getOrBuild(key, build)
+	p2 := c.getOrBuild(key, build)
+	if p1 == nil || p1 != p2 {
+		t.Fatalf("getOrBuild returned distinct propagators: %p %p", p1, p2)
+	}
+	if builds != 1 {
+		t.Fatalf("build ran %d times, want 1", builds)
+	}
+	hits, misses := c.stats()
+	if hits != 1 || misses != 1 {
+		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
+	}
+	// nil builds (degenerate configurations) are not cached: every lookup
+	// re-misses so the caller can keep falling back to RK4.
+	nilKey := propKey{sig: 100, dt: 0.05}
+	nilBuilds := 0
+	for i := 0; i < 2; i++ {
+		if p := c.getOrBuild(nilKey, func() *propagator { nilBuilds++; return nil }); p != nil {
+			t.Fatal("nil build produced a cached propagator")
+		}
+	}
+	if nilBuilds != 2 {
+		t.Fatalf("nil build ran %d times, want 2 (never cached)", nilBuilds)
+	}
+}

@@ -255,17 +255,6 @@ func WithSink(s Sink) SessionOption { return fleet.WithSink(s) }
 // valid and uses GOMAXPROCS workers.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
-// NewBatchRunner returns the cohort-batched lockstep fleet Runner: jobs
-// sharing a thermal configuration, base step and duration advance in
-// lockstep, tick by tick, with one fused 8×N mat-mat per cohort per tick
-// instead of one 8×8 mat-vec per phone. Results, traces and streamed
-// telemetry are byte-identical to the default in-process runner at any
-// worker count; throughput is substantially higher whenever many jobs
-// share a device configuration (scenario grid sweeps). Pass it to
-// FleetConfig.Runner or ScenarioRunner, or use WithBatchedRunner /
-// `ustasim -batch` for scenarios.
-func NewBatchRunner() Runner { return fleet.NewBatchRunner() }
-
 // NewShardRunner returns a fleet Runner that partitions every batch into n
 // contiguous shards (n <= 0: GOMAXPROCS), each executed by a worker
 // subprocess speaking length-prefixed JSON over its pipes, and merges
@@ -344,7 +333,6 @@ type scenarioRun struct {
 	workers  int
 	shards   int
 	sharded  bool
-	batched  bool
 	runner   Runner
 	device   *DeviceConfig
 	pred     *Predictor
@@ -373,23 +361,11 @@ func ScenarioShards(n int) ScenarioOption {
 }
 
 // ScenarioRunner executes the sweep on a custom fleet Runner — e.g. a
-// NewShardRunner with an explicit worker Command, or NewBatchRunner. It
-// overrides ScenarioShards. A shard or net runner without a predictor is
-// handed the sweep's (supplied or self-trained) predictor automatically.
+// NewShardRunner with an explicit worker Command. It overrides
+// ScenarioShards. A shard or net runner without a predictor is handed the
+// sweep's (supplied or self-trained) predictor automatically.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
-}
-
-// WithBatchedRunner executes the sweep on the cohort-batched lockstep
-// engine (NewBatchRunner): grid cells sharing a device configuration and
-// duration advance tick-synchronized with one fused mat-mat per cohort.
-// Results are byte-identical to the default runner. Composes with
-// ScenarioShards (and with a ScenarioRunner that is a shard runner): each
-// worker process then batches its own shard. Combining it with any other
-// custom ScenarioRunner is a configuration error — RunScenario reports it
-// rather than silently running unbatched.
-func WithBatchedRunner() ScenarioOption {
-	return func(rc *scenarioRun) { rc.batched = true }
 }
 
 // ScenarioDevice sets the base device configuration the grid expands
@@ -413,7 +389,7 @@ func ScenarioSink(s Sink) ScenarioOption { return func(rc *scenarioRun) { rc.sin
 // EventTick is byte-identical to the default loop; EventJump replays the
 // scheduling plane exactly while thermal observables carry the held-input
 // discretization tolerance (see EventMode). Composes with every runner
-// shape — local, batched, sharded, networked.
+// shape — local, sharded, networked.
 func ScenarioEventMode(m EventMode) ScenarioOption {
 	return func(rc *scenarioRun) { rc.event = m }
 }
@@ -550,46 +526,24 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 			jlog.CellDone(durable.CellEntry(full, limits[full.Index], acc))
 		}
 	}
-	if rc.batched && rc.runner != nil {
-		switch rc.runner.(type) {
-		case *shard.Runner, *fleetnet.Runner, fleet.BatchRunner:
-			// Compatible: shard and net runners gain batched workers below,
-			// and an explicit batch runner is simply what the option asks for.
-		default:
-			return nil, fmt.Errorf("repro: WithBatchedRunner cannot apply to a custom ScenarioRunner of type %T; pass NewBatchRunner() (or a shard runner) as the runner, or drop one of the options", rc.runner)
-		}
-	}
 	switch {
 	case rc.runner != nil:
 		fcfg.Runner = rc.runner
 	case rc.sharded:
 		fcfg.Runner = shard.New(rc.shards)
-	case rc.batched:
-		fcfg.Runner = fleet.BatchRunner{}
 	}
 	// A shard runner's workers must rebuild usta controllers from the same
 	// predictor this sweep expanded against, or sharded and local runs
 	// diverge. The caller's runner is never mutated (concurrent sweeps may
-	// share one); this sweep runs on a copy carrying its own predictor —
-	// and, under WithBatchedRunner, the batched-worker flag.
-	if sr, ok := fcfg.Runner.(*shard.Runner); ok && (pred != nil || rc.batched) {
+	// share one); this sweep runs on a copy carrying its own predictor.
+	if sr, ok := fcfg.Runner.(*shard.Runner); ok && pred != nil {
 		srCopy := *sr
-		if pred != nil {
-			srCopy.Predictor = pred
-		}
-		if rc.batched {
-			srCopy.Batched = true
-		}
+		srCopy.Predictor = pred
 		fcfg.Runner = &srCopy
 	}
-	if nr, ok := fcfg.Runner.(*fleetnet.Runner); ok && (pred != nil || rc.batched) {
+	if nr, ok := fcfg.Runner.(*fleetnet.Runner); ok && pred != nil {
 		nrCopy := *nr
-		if pred != nil {
-			nrCopy.Predictor = pred
-		}
-		if rc.batched {
-			nrCopy.Batched = true
-		}
+		nrCopy.Predictor = pred
 		// The run executes on the copy, but the caller holds the original:
 		// keep its Stats (ustasim -stats-json, recovery logs) observing
 		// this run instead of staying empty forever.
