@@ -15,9 +15,9 @@
 //	GET  /fleet                 merged per-host recovery/saturation table
 //	GET  /                      embedded live dashboard
 //
-// With -hosts, jobs dispatch to long-lived `ustaworker -listen` daemons
-// through the networked coordinator; without it they run on the local
-// worker pool. Either way results are byte-identical. -admit-rate/-burst
+// With -hosts, jobs dispatch through the remote coordinator to
+// long-lived `ustaworker -listen` daemons, or to pipe workers spawned per
+// job for "exec:" entries; without it they run on the local worker pool. Either way results are byte-identical. -admit-rate/-burst
 // put a token bucket in front of POST /jobs (submissions beyond it get
 // 429). SIGTERM/SIGINT drains: running jobs are cancelled, the HTTP
 // listener closes, and the process exits 0.
@@ -49,9 +49,11 @@ import (
 )
 
 func main() {
+	// An "exec:" host re-executes this binary as a pipe worker.
+	fleetnet.WorkerMain()
 	var (
 		listen   = flag.String("listen", "127.0.0.1:8080", "HTTP listen address for the job API")
-		hosts    = flag.String("hosts", "", "comma-separated ustaworker daemon addresses (empty: run jobs on the in-process pool)")
+		hosts    = flag.String("hosts", "", "comma-separated worker hosts: ustaworker -listen addresses, or exec:[<path>] pipe workers (empty: run jobs on the in-process pool)")
 		workers  = flag.Int("workers", 0, "worker pool width per job (0 = GOMAXPROCS)")
 		rate     = flag.Float64("admit-rate", 0, "admission token refill rate in jobs/sec (0 = always admit)")
 		burst    = flag.Int("admit-burst", 1, "admission token bucket burst size")

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro"
+	fleetnet "repro/internal/fleet/net"
 )
 
 // runScenario executes a declarative sweep file and prints its fleet
@@ -19,8 +20,9 @@ import (
 // An optional JSONL path streams every telemetry sample; an optional CSV
 // directory receives the aggregate tables. shards != 0 fans the grid out
 // across worker subprocesses, a non-empty hosts list dispatches shards to
-// long-lived `ustaworker -listen` daemons over TCP (overriding shards) —
-// aggregates and streams are identical under every combination.
+// `ustaworker -listen` daemons over TCP or "exec:" pipe workers
+// (overriding shards) — both are the same remote runner, and aggregates
+// and streams are identical under every combination.
 // localFallback lets a hosts run finish on the in-process pool when every
 // host stays down past the coordinator's recovery deadline. event selects
 // the stepping engine (off|tick|oracle|jump; see repro.EventMode). walPath
@@ -52,18 +54,23 @@ func runScenario(o cliOptions, out io.Writer) error {
 			}
 		}),
 	}
-	var writeStats func() error
+	var nr *fleetnet.Runner
 	switch {
 	case o.hosts != "":
 		hs := strings.Split(o.hosts, ",")
 		for i := range hs {
 			hs[i] = strings.TrimSpace(hs[i])
 		}
-		nr := repro.NewNetRunner(hs)
+		nr = repro.NewNetRunner(hs)
 		nr.FallbackLocal = o.localFallback
 		nr.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "ustasim: "+format+"\n", args...)
 		}
+	case o.shards != 0:
+		nr = repro.NewShardRunner(o.shards)
+	}
+	var writeStats func() error
+	if nr != nil {
 		opts = append(opts, repro.ScenarioRunner(nr))
 		if o.statsPath != "" {
 			writeStats = func() error {
@@ -74,8 +81,6 @@ func runScenario(o cliOptions, out io.Writer) error {
 				return os.WriteFile(o.statsPath, append(data, '\n'), 0o644)
 			}
 		}
-	case o.shards != 0:
-		opts = append(opts, repro.ScenarioShards(o.shards))
 	}
 	if mode != repro.EventOff {
 		opts = append(opts, repro.ScenarioEventMode(mode))

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestMain lets the test binary serve as a shard worker for the -shards
-// smoke test (the shard runner re-executes the current binary).
+// smoke test (its "exec:" hosts re-execute the current binary).
 func TestMain(m *testing.M) {
 	repro.ShardWorkerMain()
 	os.Exit(m.Run())
@@ -71,12 +72,33 @@ trace_free: true
 	}
 
 	// Shard mode: the same sweep across 2 worker processes must stream the
-	// same number of samples and produce the same aggregate tables.
+	// same number of samples and produce the same aggregate tables, and
+	// -stats-json must show one row per process.
 	jsonl2 := filepath.Join(dir, "samples_sharded.jsonl")
 	csvDir2 := filepath.Join(dir, "out_sharded")
+	statsPath := filepath.Join(dir, "stats_sharded.json")
 	var out2 strings.Builder
-	if err := runScenario(scenOpts(specPath, func(o *cliOptions) { o.workers = 2; o.shards = 2; o.jsonlPath = jsonl2; o.csvDir = csvDir2 }), &out2); err != nil {
+	if err := runScenario(scenOpts(specPath, func(o *cliOptions) {
+		o.workers = 2
+		o.shards = 2
+		o.jsonlPath = jsonl2
+		o.csvDir = csvDir2
+		o.statsPath = statsPath
+	}), &out2); err != nil {
 		t.Fatalf("sharded run: %v", err)
+	}
+	var st fleetnet.RunnerStats
+	if raw, err := os.ReadFile(statsPath); err != nil {
+		t.Fatalf("sharded stats snapshot not written: %v", err)
+	} else if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("sharded stats snapshot: %v", err)
+	}
+	completed := 0
+	for _, h := range st.Hosts {
+		completed = max(completed, h.ItemsCompleted)
+	}
+	if len(st.Hosts) != 2 || completed == 0 {
+		t.Fatalf("sharded stats = %+v, want 2 host rows with completed items", st)
 	}
 	data2, err := os.ReadFile(jsonl2)
 	if err != nil {

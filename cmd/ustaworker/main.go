@@ -1,21 +1,23 @@
-// Command ustaworker executes fleet shards for a coordinator. It runs in
-// one of two modes:
+// Command ustaworker executes fleet shards for a coordinator. It speaks
+// one protocol — hello handshake, shard frames, heartbeats, cancel — over
+// one of two transports:
 //
-//   - Pipe mode (default): serve exactly one wire.ShardRequest over
-//     stdin/stdout and exit. A shard coordinator (repro.NewShardRunner /
-//     ustasim -shards) spawns workers by re-executing its own binary by
-//     default; point the runner's Command at a built ustaworker to
-//     decouple the coordinator from the worker build.
+//   - Pipe mode (default): serve the coordinator that spawned this
+//     process over stdin/stdout, with capacity 1. A coordinator lists it
+//     as an "exec:<path>" host (repro.NewNetRunner, ustasim -hosts,
+//     ustafleetd -hosts) to decouple its own binary from the worker's.
+//     Coordinator and worker must come from the same build: the hello
+//     handshake checks the wire protocol version.
 //   - Daemon mode (-listen host:port): a long-lived TCP worker serving
 //     shard requests from a networked coordinator (repro.NewNetRunner /
 //     ustasim -hosts / ustafleetd -hosts). The daemon advertises its
 //     -capacity in a hello handshake and executes up to that many shards
 //     concurrently, across any number of connections.
 //
-// Both modes shut down gracefully on SIGTERM/SIGINT: in-flight shards
-// finish and flush their frames, then the process exits 0. A coordinator
-// watching a draining daemon sees its connection close between shards,
-// marks the host dead, and re-dispatches elsewhere.
+// Both modes run on the same server and shut down the same way on
+// SIGTERM/SIGINT. A coordinator watching a draining worker sees its
+// connection close between shards, marks the host lost, and re-dispatches
+// elsewhere.
 package main
 
 import (
@@ -28,50 +30,29 @@ import (
 	"syscall"
 
 	"repro/internal/fleet/net"
-	"repro/internal/fleet/shard"
 )
 
 func main() {
 	var (
-		listen   = flag.String("listen", "", "serve shards as a TCP daemon on this host:port (empty: one shard over stdin/stdout)")
+		listen   = flag.String("listen", "", "serve shards as a TCP daemon on this host:port (empty: serve the spawning coordinator over stdin/stdout)")
 		capacity = flag.Int("capacity", 0, "daemon mode: concurrent shard limit advertised to coordinators (0 = GOMAXPROCS)")
-		verbose  = flag.Bool("v", false, "daemon mode: log connection and shard events to stderr")
+		verbose  = flag.Bool("v", false, "log connection and shard events to stderr")
 	)
 	flag.Parse()
 
-	if *listen == "" {
-		runPipe()
-		return
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	s := &net.Server{Capacity: *capacity}
+	var logf func(string, ...any)
 	if *verbose {
-		s.Logf = log.New(os.Stderr, "ustaworker: ", log.LstdFlags).Printf
+		logf = log.New(os.Stderr, "ustaworker: ", log.LstdFlags).Printf
 	}
+	if *listen == "" {
+		net.ServeStdio(ctx, logf)
+		return
+	}
+	s := &net.Server{Capacity: *capacity, Logf: logf}
 	if err := s.ListenAndServe(ctx, *listen); err != nil {
 		fmt.Fprintln(os.Stderr, "ustaworker:", err)
 		os.Exit(1)
-	}
-}
-
-// runPipe serves one shard over stdin/stdout. SIGTERM/SIGINT during the
-// shard lets it finish and flush (the signal is absorbed); a signal while
-// still waiting for the request unblocks the read and exits cleanly.
-func runPipe() {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- shard.Serve(os.Stdin, os.Stdout) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ustaworker:", err)
-			os.Exit(1)
-		}
-	case <-sig:
-		os.Stdin.Close() // unblock an idle request read; an in-flight shard finishes
-		<-done
 	}
 }

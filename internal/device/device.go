@@ -25,6 +25,13 @@ import (
 // workload (e.g. the result of looking up an unknown workload name).
 var ErrNilWorkload = errors.New("device: run with nil workload")
 
+// isNilWorkload reports a nil workload, including a nil *workload.Program
+// stored in the interface (workload.ByName returns one for unknown names).
+func isNilWorkload(w workload.Workload) bool {
+	p, ok := w.(*workload.Program)
+	return w == nil || ok && p == nil
+}
+
 // Controller is a thermal-management hook driven at its own period. USTA
 // (package core) implements it; a nil controller reproduces the stock
 // phone.
@@ -348,7 +355,7 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // the context's error. The loop body lives in StepRun — the same ticks the
 // event engine runs canonically. A nil workload is an error, not a panic.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
-	if w == nil {
+	if isNilWorkload(w) {
 		return nil, ErrNilWorkload
 	}
 	r := p.StartRun(w, dur)

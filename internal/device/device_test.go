@@ -42,15 +42,25 @@ func TestMustNewPanics(t *testing.T) {
 
 // TestRunNilWorkloadErrors pins that both run entry points reject a nil
 // workload with ErrNilWorkload instead of dereferencing it, under every
-// stepping engine.
+// stepping engine — an untyped nil and a nil *workload.Program hidden in
+// the interface alike.
 func TestRunNilWorkloadErrors(t *testing.T) {
 	p := MustNew(DefaultConfig(), nil)
-	if res, err := p.RunContext(context.Background(), nil, 0); !errors.Is(err, ErrNilWorkload) || res != nil {
-		t.Fatalf("RunContext(nil) = %v, %v; want nil, ErrNilWorkload", res, err)
-	}
-	for _, mode := range []EventMode{EventOff, EventTick, EventOracle, EventJump} {
-		if res, err := p.RunEventContext(context.Background(), nil, 0, mode); !errors.Is(err, ErrNilWorkload) || res != nil {
-			t.Fatalf("RunEventContext(nil, %v) = %v, %v; want nil, ErrNilWorkload", mode, res, err)
+	var typedNil *workload.Program
+	for _, tc := range []struct {
+		name string
+		w    workload.Workload
+	}{
+		{"nil", nil},
+		{"typed nil *Program", typedNil},
+	} {
+		if res, err := p.RunContext(context.Background(), tc.w, 0); !errors.Is(err, ErrNilWorkload) || res != nil {
+			t.Fatalf("RunContext(%s) = %v, %v; want nil, ErrNilWorkload", tc.name, res, err)
+		}
+		for _, mode := range []EventMode{EventOff, EventTick, EventOracle, EventJump} {
+			if res, err := p.RunEventContext(context.Background(), tc.w, 0, mode); !errors.Is(err, ErrNilWorkload) || res != nil {
+				t.Fatalf("RunEventContext(%s, %v) = %v, %v; want nil, ErrNilWorkload", tc.name, mode, res, err)
+			}
 		}
 	}
 }

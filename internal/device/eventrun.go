@@ -171,7 +171,7 @@ func (e *EventRun) Finish(err error) (*RunResult, error) { return e.r.Finish(err
 // mode EventOff delegates to the plain tick loop. A nil workload is an
 // error, not a panic.
 func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur float64, mode EventMode) (*RunResult, error) {
-	if w == nil {
+	if isNilWorkload(w) {
 		return nil, ErrNilWorkload
 	}
 	if mode == EventOff {

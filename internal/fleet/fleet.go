@@ -16,9 +16,9 @@ import (
 )
 
 // Config parameterizes a batch run. It is shared by every Runner: the
-// in-process LocalRunner consumes all of it directly, while multi-process
-// runners (internal/fleet/shard) forward Workers to each worker process and
-// service Sink/OnProgress/OnResult on the coordinator side.
+// in-process LocalRunner consumes all of it directly, while the remote
+// runner (internal/fleet/net) forwards Workers to each worker process and
+// services Sink/OnProgress/OnResult on the coordinator side.
 type Config struct {
 	// Workers bounds simultaneous simulations (<= 0: GOMAXPROCS; see
 	// NormalizeWorkers). Under a sharding runner a positive value is the
@@ -64,7 +64,8 @@ type Config struct {
 
 // Runner executes a batch of jobs under a batch configuration and returns
 // one result per job in submission order. LocalRunner is the in-process
-// worker pool; internal/fleet/shard adds a multi-process implementation.
+// worker pool; internal/fleet/net adds the remote implementation over
+// worker subprocesses and TCP daemons.
 type Runner interface {
 	Run(ctx context.Context, cfg Config, jobs []Job) []JobResult
 }

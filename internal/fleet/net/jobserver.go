@@ -16,7 +16,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/fleet/durable"
-	"repro/internal/fleet/shard"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sink"
@@ -43,8 +42,8 @@ import (
 // Construct with NewJobServer, mount Handler, Close on shutdown.
 type JobServer struct {
 	// Runner executes submitted sweeps (nil: the in-process pool). A
-	// *Runner (multi-host coordinator) or *shard.Runner is copied per job
-	// with the sweep's predictor injected, mirroring RunScenario.
+	// *Runner (the remote coordinator) is copied per job with the sweep's
+	// predictor injected, mirroring RunScenario.
 	Runner fleet.Runner
 	// Workers bounds each job's worker pool (<= 0: GOMAXPROCS).
 	Workers int
@@ -579,25 +578,17 @@ func (s *JobServer) execute(ctx context.Context, j *serverJob, spec *scenario.Sp
 }
 
 // jobRunner resolves the per-job runner: the server's runner, copied with
-// the sweep's predictor injected when it is a networked or shard
-// coordinator (the server's own runner is never mutated — jobs run
-// concurrently).
+// the sweep's predictor injected when it is the remote coordinator (the
+// server's own runner is never mutated — jobs run concurrently).
 func (s *JobServer) jobRunner(pred *core.Predictor) fleet.Runner {
-	switch r := s.Runner.(type) {
-	case *Runner:
-		cp := *r
-		cp.Predictor = pred
-		// Each job clone tracks its own run — never share a stats cell a
-		// PublishStatsTo redirect may have left on the server's runner.
-		cp.statsDst = nil
-		return &cp
-	case *shard.Runner:
-		cp := *r
-		if pred != nil {
-			cp.Predictor = pred
-		}
-		return &cp
-	default:
+	r, ok := s.Runner.(*Runner)
+	if !ok {
 		return s.Runner
 	}
+	cp := *r
+	cp.Predictor = pred
+	// Each job clone tracks its own run — never share a stats cell a
+	// PublishStatsTo redirect may have left on the server's runner.
+	cp.statsDst = nil
+	return &cp
 }

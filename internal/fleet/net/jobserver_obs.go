@@ -156,8 +156,14 @@ func (s *JobServer) mergedStats(jobs []*serverJob) RunnerStats {
 			break
 		}
 	}
+	// Rows are keyed by inventory position, not address alone, so
+	// identical "exec:" entries stay separate hosts.
+	type hostKey struct {
+		pos  int
+		addr string
+	}
 	var out RunnerStats
-	idx := map[string]int{}
+	idx := map[hostKey]int{}
 	for _, v := range views {
 		st := v.stats
 		out.Hedges += st.Hedges
@@ -165,11 +171,12 @@ func (s *JobServer) mergedStats(jobs []*serverJob) RunnerStats {
 		out.FallbackUsed = out.FallbackUsed || st.FallbackUsed
 		out.FallbackJobs += st.FallbackJobs
 		live := v.running || !anyRunning
-		for _, h := range st.Hosts {
-			i, ok := idx[h.Addr]
+		for pos, h := range st.Hosts {
+			k := hostKey{pos, h.Addr}
+			i, ok := idx[k]
 			if !ok {
 				i = len(out.Hosts)
-				idx[h.Addr] = i
+				idx[k] = i
 				out.Hosts = append(out.Hosts, HostStats{Addr: h.Addr, Capacity: h.Capacity})
 			}
 			m := &out.Hosts[i]
@@ -296,37 +303,50 @@ func (s *JobServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	st := s.mergedStats(jobs)
-	hl := func(addr string) []obs.Label { return []obs.Label{{Name: "host", Value: addr}} }
-	mw.Family("usta_host_connected", "1 when any running job holds a connection to the host.", "gauge")
+	// A host label is its address; a repeated address (n "exec:" entries)
+	// gets its row number appended, so every series stays distinct.
+	seen := map[string]int{}
 	for _, h := range st.Hosts {
-		mw.Sample("usta_host_connected", hl(h.Addr), b2f(h.Connected))
+		seen[h.Addr]++
+	}
+	hosts := make([]string, len(st.Hosts))
+	for i, h := range st.Hosts {
+		hosts[i] = h.Addr
+		if seen[h.Addr] > 1 {
+			hosts[i] = fmt.Sprintf("%s#%d", h.Addr, i)
+		}
+	}
+	hl := func(i int) []obs.Label { return []obs.Label{{Name: "host", Value: hosts[i]}} }
+	mw.Family("usta_host_connected", "1 when any running job holds a connection to the host.", "gauge")
+	for i, h := range st.Hosts {
+		mw.Sample("usta_host_connected", hl(i), b2f(h.Connected))
 	}
 	mw.Family("usta_host_breaker", "One-hot circuit-breaker state per host.", "gauge")
-	for _, h := range st.Hosts {
+	for i, h := range st.Hosts {
 		for _, state := range []string{BreakerClosed, BreakerHalfOpen, BreakerOpen} {
 			mw.Sample("usta_host_breaker",
-				[]obs.Label{{Name: "host", Value: h.Addr}, {Name: "state", Value: state}}, b2f(h.Breaker == state))
+				[]obs.Label{{Name: "host", Value: hosts[i]}, {Name: "state", Value: state}}, b2f(h.Breaker == state))
 		}
 	}
 	mw.Family("usta_host_capacity", "Advertised worker slot capacity.", "gauge")
-	for _, h := range st.Hosts {
-		mw.Sample("usta_host_capacity", hl(h.Addr), float64(h.Capacity))
+	for i, h := range st.Hosts {
+		mw.Sample("usta_host_capacity", hl(i), float64(h.Capacity))
 	}
 	mw.Family("usta_host_slots_connected", "Connected slots summed over running jobs.", "gauge")
-	for _, h := range st.Hosts {
-		mw.Sample("usta_host_slots_connected", hl(h.Addr), float64(h.SlotsConnected))
+	for i, h := range st.Hosts {
+		mw.Sample("usta_host_slots_connected", hl(i), float64(h.SlotsConnected))
 	}
 	mw.Family("usta_host_connect_attempts_total", "Dial attempts, cumulative over jobs.", "counter")
-	for _, h := range st.Hosts {
-		mw.Sample("usta_host_connect_attempts_total", hl(h.Addr), float64(h.ConnectAttempts))
+	for i, h := range st.Hosts {
+		mw.Sample("usta_host_connect_attempts_total", hl(i), float64(h.ConnectAttempts))
 	}
 	mw.Family("usta_host_redials_total", "Successful reconnects after a connection loss.", "counter")
-	for _, h := range st.Hosts {
-		mw.Sample("usta_host_redials_total", hl(h.Addr), float64(h.Redials))
+	for i, h := range st.Hosts {
+		mw.Sample("usta_host_redials_total", hl(i), float64(h.Redials))
 	}
 	mw.Family("usta_host_items_completed_total", "Work items completed per host.", "counter")
-	for _, h := range st.Hosts {
-		mw.Sample("usta_host_items_completed_total", hl(h.Addr), float64(h.ItemsCompleted))
+	for i, h := range st.Hosts {
+		mw.Sample("usta_host_items_completed_total", hl(i), float64(h.ItemsCompleted))
 	}
 	mw.Family("usta_hedges_total", "Hedged (duplicate) work-item dispatches.", "counter")
 	mw.Sample("usta_hedges_total", nil, float64(st.Hedges))

@@ -169,6 +169,62 @@ func TestJobServerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJobServerPipeHosts: n identical "exec:" entries are n hosts in the
+// service's merged views too. /fleet keeps one row per entry, each at
+// capacity 1 and never over-saturated, and /metrics labels them apart.
+func TestJobServerPipeHosts(t *testing.T) {
+	js := fleetnet.NewJobServer(fleetnet.New([]string{"exec:", "exec:"}))
+	defer js.Close()
+	ts := httptest.NewServer(js.Handler())
+	defer ts.Close()
+
+	type fleetHosts struct {
+		Hosts []fleetnet.HostStats `json:"hosts"`
+	}
+	fleetView := func() []fleetnet.HostStats {
+		var body fleetHosts
+		if err := json.Unmarshal([]byte(getBody(t, ts, "/fleet")), &body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Hosts
+	}
+	id := submit(t, ts, e2eSpec)
+	for {
+		for _, h := range fleetView() {
+			if h.SlotsConnected > h.Capacity {
+				t.Fatalf("host %s: %d slots connected > capacity %d", h.Addr, h.SlotsConnected, h.Capacity)
+			}
+		}
+		if poll(t, ts, id)["status"] != "running" {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if final := waitStatus(t, ts, id); final["status"] != "done" {
+		t.Fatalf("job finished %v", final)
+	}
+	hosts := fleetView()
+	if len(hosts) != 2 {
+		t.Fatalf("/fleet has %d host rows, want 2: %+v", len(hosts), hosts)
+	}
+	items := 0
+	for _, h := range hosts {
+		if h.Addr != "exec:" || h.Capacity != 1 {
+			t.Fatalf("/fleet row %+v, want addr exec: at capacity 1", h)
+		}
+		items += h.ItemsCompleted
+	}
+	if items != 2 {
+		t.Fatalf("/fleet rows completed %d items, want 2: %+v", items, hosts)
+	}
+	metrics := getBody(t, ts, "/metrics")
+	got := promValue(t, metrics, "usta_host_items_completed_total", "exec:#0") +
+		promValue(t, metrics, "usta_host_items_completed_total", "exec:#1")
+	if got != 2 {
+		t.Fatalf("usta_host_items_completed_total sums to %g, want 2", got)
+	}
+}
+
 // TestJobServerCancel: a long-running job is cancelled over HTTP and
 // reaches the cancelled status; the telemetry stream terminates.
 func TestJobServerCancel(t *testing.T) {

@@ -53,19 +53,18 @@ const (
 	defaultHedgeFloor = 500 * time.Millisecond
 )
 
-// errNoSpec mirrors the shard runner's rule: only serializable jobs can
-// cross a host boundary.
-var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only scenario-expanded or spec-carrying jobs can run on a networked runner")
+// errNoSpec: only serializable jobs can cross a process boundary.
+var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only scenario-expanded or spec-carrying jobs can run on a remote runner")
 
-// Runner is the multi-host fleet.Runner: it partitions jobs into work
-// items, dispatches them to ustaworker daemons over TCP, and merges the
-// streamed frames back into submission order. Seeds are resolved
-// coordinator-side through fleet.EffectiveSeed before dispatch, so a
-// distributed run is byte-identical to LocalRunner — including after a
-// worker dies mid-shard and its unreported jobs are retried on a
-// surviving host (telemetry for a retried job is buffered per attempt and
-// flushed only when its result arrives, so a half-streamed attempt leaves
-// no trace).
+// Runner is the remote fleet.Runner: it partitions jobs into work items,
+// dispatches them to worker processes — TCP daemons or spawned pipe
+// workers, per Hosts entry — and merges the streamed frames back into
+// submission order. Seeds are resolved coordinator-side through
+// fleet.EffectiveSeed before dispatch, so a distributed run is
+// byte-identical to LocalRunner — including after a worker dies mid-shard
+// and its unreported jobs are retried on a surviving host (telemetry for
+// a retried job is buffered per attempt and flushed only when its result
+// arrives, so a half-streamed attempt leaves no trace).
 //
 // The runner is self-healing: each host runs under a supervisor that
 // redials after transport loss with exponential backoff and seeded
@@ -78,14 +77,24 @@ var errNoSpec = errors.New("net: job has no serializable spec (Job.Spec); only s
 // state is observable through Stats. The zero value is not useful; set
 // Hosts.
 type Runner struct {
-	// Hosts is the static worker inventory, "host:port" per entry.
+	// Hosts is the static worker inventory. Each entry is a TCP daemon
+	// ("host:port") or one spawned worker process over stdin/stdout pipes
+	// ("exec:" re-executes the current binary, which must call WorkerMain
+	// first thing in main; "exec:<path>" runs a built ustaworker from the
+	// same build). Entries are distinct hosts even when equal: n "exec:"
+	// entries are n processes with their own breakers and stats rows. Pipe
+	// workers share this machine, so a run spawns at most one per work
+	// item, and when it leaves Config.Workers unset each of the k spawned
+	// processes gets ⌈GOMAXPROCS/k⌉ workers, so the machine is not
+	// oversubscribed.
 	Hosts []string
 	// Predictor backs "usta" job specs in the workers; serialized once per
 	// run and shipped inside every shard request.
 	Predictor *core.Predictor
 	// ShardSize is the number of jobs per dispatch unit (<= 0: the batch is
 	// split into about four items per host, so one slow shard cannot strand
-	// the run behind it).
+	// the run behind it; with only "exec:" hosts an item is at least one
+	// worker pool wide).
 	ShardSize int
 	// MaxRetries is how many times a work item is re-dispatched after
 	// worker loss before its unreported jobs fail (<= 0: 3).
@@ -141,7 +150,7 @@ type Runner struct {
 	statsDst *atomic.Value
 }
 
-// New creates a networked runner over the given worker addresses.
+// New creates a remote runner over the given host inventory (see Hosts).
 func New(hosts []string) *Runner { return &Runner{Hosts: hosts} }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -219,6 +228,15 @@ func jitter(jr *rand.Rand, base time.Duration) time.Duration {
 	return time.Duration(jr.Int63n(int64(base)/2 + 1))
 }
 
+// host is one inventory entry resolved for a run: its position (the key
+// of every per-host record), its address for logs and stats, and the
+// worker binary of a pipe host ("" for TCP).
+type host struct {
+	idx  int
+	addr string
+	exe  string
+}
+
 func hashAddr(addr string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(addr))
@@ -230,13 +248,13 @@ func hashAddr(addr string) int64 {
 // that makes hedging and requeueing race-free.
 type itemState struct {
 	specs    []fleet.JobSpec
-	attempts int                 // failed dispatches consumed
-	live     int                 // in-flight attempts (primary + hedge)
-	done     bool                // completed or permanently failed
-	hedged   bool                // a hedge is (or was) riding this flight
-	owner    string              // host running the primary attempt
-	started  time.Time           // when the current flight began
-	badHosts map[string]struct{} // hosts that failed this item
+	attempts int              // failed dispatches consumed
+	live     int              // in-flight attempts (primary + hedge)
+	done     bool             // completed or permanently failed
+	hedged   bool             // a hedge is (or was) riding this flight
+	owner    int              // host index running the primary attempt
+	started  time.Time        // when the current flight began
+	badHosts map[int]struct{} // host indices that failed this item
 }
 
 // attempt is one dispatch of an item to one host. It doubles as the
@@ -245,7 +263,7 @@ type itemState struct {
 type attempt struct {
 	item  *itemState
 	specs []fleet.JobSpec // snapshot of item.specs at claim time
-	addr  string
+	host  int
 	hedge bool
 }
 
@@ -259,7 +277,8 @@ type dispatcher struct {
 	cond       *sync.Cond
 	pending    []*itemState
 	inflight   map[*itemState]struct{}
-	connected  map[string]int // addr → live generations (0s removed)
+	connected  map[int]int // host index → live generations (0s removed)
+	names      []string    // host addresses, for logs
 	cancelled  bool
 	fleetDown  bool
 	overClosed bool
@@ -277,7 +296,8 @@ func newDispatcher(items []*itemState, r *Runner, tk *statsTracker) *dispatcher 
 	d := &dispatcher{
 		pending:    items,
 		inflight:   make(map[*itemState]struct{}),
-		connected:  make(map[string]int),
+		connected:  make(map[int]int),
+		names:      r.Hosts,
 		over:       make(chan struct{}),
 		hedgeAfter: r.HedgeAfter,
 		allDead:    r.allDeadDeadline(),
@@ -344,17 +364,17 @@ func (d *dispatcher) armAllDeadLocked() {
 // setConnected tracks a host generation coming up or down, driving the
 // all-dead countdown: armed while nothing is connected, cancelled the
 // moment any host (re)connects.
-func (d *dispatcher) setConnected(addr string, up bool) {
+func (d *dispatcher) setConnected(h int, up bool) {
 	d.mu.Lock()
 	if up {
-		d.connected[addr]++
+		d.connected[h]++
 		if d.deadTimer != nil {
 			d.deadTimer.Stop()
 			d.deadTimer = nil
 		}
 	} else {
-		if d.connected[addr]--; d.connected[addr] <= 0 {
-			delete(d.connected, addr)
+		if d.connected[h]--; d.connected[h] <= 0 {
+			delete(d.connected, h)
 		}
 		if len(d.connected) == 0 {
 			d.armAllDeadLocked()
@@ -374,17 +394,17 @@ func (d *dispatcher) noteErr(err error) {
 	d.mu.Unlock()
 }
 
-// eligibleLocked reports whether addr may run it. A host that failed an
+// eligibleLocked reports whether host h may run it. A host that failed an
 // item does not get it again while some other connected host could take
 // it — but when nobody else can (single-host inventories, everyone else
 // down or equally burned), the item goes back to the same host rather
 // than starving.
-func (d *dispatcher) eligibleLocked(it *itemState, addr string) bool {
-	if _, bad := it.badHosts[addr]; !bad {
+func (d *dispatcher) eligibleLocked(it *itemState, h int) bool {
+	if _, bad := it.badHosts[h]; !bad {
 		return true
 	}
 	for a := range d.connected {
-		if a == addr {
+		if a == h {
 			continue
 		}
 		if _, bad := it.badHosts[a]; !bad {
@@ -416,11 +436,11 @@ func (d *dispatcher) hedgeThresholdLocked() time.Duration {
 	return th
 }
 
-// next blocks until addr has something to do and claims it: a pending
+// next blocks until host h has something to do and claims it: a pending
 // item, or — when the queue is empty and another host's flight is
 // overdue — a hedge on that flight. Returns nil when the run is over or
 // this host's generation has failed.
-func (d *dispatcher) next(addr string, g *hostGen) *attempt {
+func (d *dispatcher) next(h int, g *hostGen) *attempt {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -432,26 +452,26 @@ func (d *dispatcher) next(addr string, g *hostGen) *attempt {
 			return nil
 		}
 		for i, it := range d.pending {
-			if !d.eligibleLocked(it, addr) {
+			if !d.eligibleLocked(it, h) {
 				continue
 			}
 			d.pending = append(d.pending[:i], d.pending[i+1:]...)
-			it.owner = addr
+			it.owner = h
 			it.started = time.Now()
 			it.live = 1
 			it.hedged = false
 			d.inflight[it] = struct{}{}
-			return &attempt{item: it, specs: it.specs, addr: addr}
+			return &attempt{item: it, specs: it.specs, host: h}
 		}
 		// Nothing claimable; consider hedging an overdue flight.
 		if th := d.hedgeThresholdLocked(); th > 0 {
 			now := time.Now()
 			soonest := time.Duration(-1)
 			for it := range d.inflight {
-				if it.done || it.hedged || it.owner == addr {
+				if it.done || it.hedged || it.owner == h {
 					continue
 				}
-				if _, bad := it.badHosts[addr]; bad {
+				if _, bad := it.badHosts[h]; bad {
 					continue
 				}
 				wait := th - now.Sub(it.started)
@@ -460,9 +480,9 @@ func (d *dispatcher) next(addr string, g *hostGen) *attempt {
 					it.live++
 					d.tk.hedge()
 					if d.logf != nil {
-						d.logf("net: host %s: hedging %d-job shard stuck on %s for >%v", addr, len(it.specs), it.owner, th)
+						d.logf("net: host %s: hedging %d-job shard stuck on %s for >%v", d.names[h], len(it.specs), d.names[it.owner], th)
 					}
-					return &attempt{item: it, specs: it.specs, addr: addr, hedge: true}
+					return &attempt{item: it, specs: it.specs, host: h, hedge: true}
 				}
 				if soonest < 0 || wait < soonest {
 					soonest = wait
@@ -495,7 +515,7 @@ func (d *dispatcher) settle(at *attempt, dur time.Duration, ok bool) {
 			if at.hedge {
 				d.tk.hedgeWin()
 			}
-			d.tk.itemDone(at.addr)
+			d.tk.itemDone(at.host)
 		}
 	}
 	d.maybeOverLocked()
@@ -527,9 +547,9 @@ func (d *dispatcher) lose(at *attempt, retry []fleet.JobSpec, maxRetries int, er
 	it := at.item
 	it.live--
 	if it.badHosts == nil {
-		it.badHosts = make(map[string]struct{})
+		it.badHosts = make(map[int]struct{})
 	}
-	it.badHosts[at.addr] = struct{}{}
+	it.badHosts[at.host] = struct{}{}
 	if err != nil {
 		d.lastErr = err
 	}
@@ -550,7 +570,7 @@ func (d *dispatcher) lose(at *attempt, retry []fleet.JobSpec, maxRetries int, er
 		return false, true, it.attempts
 	}
 	it.hedged = false
-	it.owner = ""
+	it.owner = -1
 	d.pending = append(d.pending, it)
 	return true, false, it.attempts
 }
@@ -729,11 +749,14 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 	if len(r.Hosts) == 0 {
 		return failAll(errors.New("net: no worker hosts configured"))
 	}
+	hosts, err := resolveHosts(r.Hosts)
+	if err != nil {
+		return failAll(err)
+	}
 	pred, err := wire.EncodePredictor(r.Predictor)
 	if err != nil {
 		return failAll(err)
 	}
-
 	// Seed and index every spec'd job now — determinism must not depend on
 	// which host runs it, how many attempts it takes, or whether it ends
 	// up on the local fallback. Spec-less jobs cannot cross the wire and
@@ -757,19 +780,21 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 		return results
 	}
 
-	// Partition into work items: a few per host so the queue can rebalance
-	// around slow or recovering workers.
-	size := r.ShardSize
-	if size <= 0 {
-		size = (len(specs) + 4*len(r.Hosts) - 1) / (4 * len(r.Hosts))
+	pipes := 0
+	for _, h := range hosts {
+		if h.exe != "" {
+			pipes++
+		}
 	}
+	plan := planItems(len(specs), len(hosts), pipes, r.ShardSize, cfg.Workers, fleet.NormalizeWorkers(0))
+	size := plan.size
 	var items []*itemState
 	for start := 0; start < len(specs); start += size {
 		end := start + size
 		if end > len(specs) {
 			end = len(specs)
 		}
-		items = append(items, &itemState{specs: specs[start:end]})
+		items = append(items, &itemState{specs: specs[start:end], owner: -1})
 	}
 	tracker := newStatsTracker(r.Hosts)
 	r.statsCell().Store(tracker)
@@ -813,12 +838,21 @@ func (r *Runner) Run(ctx context.Context, cfg fleet.Config, jobs []fleet.Job) []
 
 	req := baseRequest{pred: pred, workers: cfg.Workers, wantSamples: cfg.Sink != nil, event: int(cfg.Event)}
 	var wg sync.WaitGroup
-	for _, addr := range r.Hosts {
+	spawned := 0
+	for _, h := range hosts {
+		hreq := req
+		if h.exe != "" {
+			// A pipe worker that could never get an item is not spawned.
+			if spawned++; spawned > plan.pipes {
+				continue
+			}
+			hreq.workers = plan.pipeWorkers
+		}
 		wg.Add(1)
-		go func(addr string) {
+		go func(h host, req baseRequest) {
 			defer wg.Done()
-			r.superviseHost(ctx, addr, d, st, req, trackConn, tracker, cfg.Seed)
-		}(addr)
+			r.superviseHost(ctx, h, d, st, req, trackConn, tracker, cfg.Seed)
+		}(h, hreq)
 	}
 	wg.Wait()
 
@@ -886,6 +920,43 @@ func (r *Runner) runFallback(ctx context.Context, cfg fleet.Config, st *runState
 	return len(subJobs)
 }
 
+// itemPlan is how a run partitions its jobs and sizes its pipe workers.
+type itemPlan struct {
+	size        int // jobs per work item
+	pipes       int // pipe workers to spawn
+	pipeWorkers int // pool width of each pipe worker
+}
+
+// planItems partitions n spec'd jobs over nHosts hosts, nPipes of them
+// "exec:" entries, on a machine with cores cores. Items default to about
+// four per host, so the queue can rebalance around slow or recovering
+// workers. Pipe workers share this machine, so they never oversubscribe
+// it: at most one process per item, and unless the run sets workers, the
+// cores split evenly across the processes (a TCP daemon splits its own
+// cores across its capacity). A pipe worker runs one item at a time, so
+// when every host is a pipe, a default-sized item is at least one pool
+// wide — smaller items would leave workers idle at every item boundary.
+func planItems(n, nHosts, nPipes, shardSize, workers, cores int) itemPlan {
+	p := itemPlan{size: shardSize, pipes: min(nPipes, n), pipeWorkers: workers}
+	width := func() {
+		if workers <= 0 && p.pipes > 0 {
+			p.pipeWorkers = (cores + p.pipes - 1) / p.pipes
+		}
+	}
+	width()
+	if p.size <= 0 {
+		p.size = (n + 4*nHosts - 1) / (4 * nHosts)
+		if nPipes == nHosts {
+			p.size = max(p.size, p.pipeWorkers)
+		}
+	}
+	if items := (n + p.size - 1) / p.size; p.pipes > items {
+		p.pipes = items
+		width()
+	}
+	return p
+}
+
 // baseRequest carries the per-run constants every shard request shares.
 type baseRequest struct {
 	pred        []byte
@@ -899,7 +970,7 @@ type baseRequest struct {
 // generation down — a killed daemon drops every connection at once, and
 // the supervisor owns redialing.
 type hostGen struct {
-	addr string
+	h    host
 	d    *dispatcher
 	mu   sync.Mutex
 	down bool
@@ -927,26 +998,27 @@ func (g *hostGen) isDown() bool {
 	return g.down
 }
 
-// superviseHost owns one worker address for the whole run: dial, run a
+// superviseHost owns one inventory entry for the whole run: dial, run a
 // generation of slots, and on failure back off exponentially (seeded
 // jitter) and redial — opening the circuit breaker after consecutive
 // failures and probing half-open after a cooldown. The host rejoins the
 // dispatch pool the moment a generation connects; it is never retired
 // while the run needs it.
-func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker, baseSeed int64) {
+func (r *Runner) superviseHost(ctx context.Context, h host, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker, baseSeed int64) {
+	addr := h.addr
 	base, maxB := r.backoffBase(), r.backoffMax()
 	kOpen := r.breakerThreshold()
 	coolBase := r.breakerCooldown()
-	jr := rand.New(rand.NewSource(baseSeed ^ hashAddr(addr)))
+	jr := rand.New(rand.NewSource(baseSeed ^ hashAddr(addr) ^ int64(h.idx)))
 	backoff, cooldown := base, coolBase
 	fails := 0
 	breaker := BreakerClosed
 	note := func(err error) {
-		tk.update(addr, func(h *HostStats) {
-			h.Breaker = breaker
-			h.ConsecutiveFails = fails
+		tk.update(h.idx, func(hs *HostStats) {
+			hs.Breaker = breaker
+			hs.ConsecutiveFails = fails
 			if err != nil {
-				h.LastErr = err.Error()
+				hs.LastErr = err.Error()
 			}
 		})
 	}
@@ -965,8 +1037,8 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			note(nil)
 			continue
 		}
-		tk.update(addr, func(h *HostStats) { h.ConnectAttempts++ })
-		conn, capacity, err := r.dial(ctx, addr)
+		tk.update(h.idx, func(hs *HostStats) { hs.ConnectAttempts++ })
+		conn, capacity, err := r.dial(ctx, h)
 		if err != nil {
 			fails++
 			err = fmt.Errorf("net: host %s: %w", addr, err)
@@ -985,24 +1057,24 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 			continue
 		}
 		halfOpen := breaker == BreakerHalfOpen
-		tk.update(addr, func(h *HostStats) {
-			h.Connected = true
-			h.Capacity = capacity
+		tk.update(h.idx, func(hs *HostStats) {
+			hs.Connected = true
+			hs.Capacity = capacity
 			if gen > 0 {
-				h.Redials++
+				hs.Redials++
 			}
 		})
-		d.setConnected(addr, true)
+		d.setConnected(h.idx, true)
 		if halfOpen {
 			r.logf("net: host %s: reconnected (half-open probe), capacity %d", addr, capacity)
 		} else {
 			r.logf("net: host %s: connected, capacity %d", addr, capacity)
 		}
-		genOK := r.runGeneration(ctx, addr, conn, capacity, halfOpen, d, st, req, trackConn, tk)
-		d.setConnected(addr, false)
-		tk.update(addr, func(h *HostStats) {
-			h.Connected = false
-			h.SlotsConnected = 0
+		genOK := r.runGeneration(ctx, h, conn, capacity, halfOpen, d, st, req, trackConn, tk)
+		d.setConnected(h.idx, false)
+		tk.update(h.idx, func(hs *HostStats) {
+			hs.Connected = false
+			hs.SlotsConnected = 0
 		})
 		if genOK {
 			fails, backoff, cooldown = 0, base, coolBase
@@ -1033,8 +1105,9 @@ func (r *Runner) superviseHost(ctx context.Context, addr string, d *dispatcher, 
 // and expands to full capacity on its first completed item (which also
 // closes the breaker). Returns whether the generation completed at least
 // one item.
-func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Conn, capacity int, halfOpen bool, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
-	g := &hostGen{addr: addr, d: d}
+func (r *Runner) runGeneration(ctx context.Context, h host, conn0 stdnet.Conn, capacity int, halfOpen bool, d *dispatcher, st *runState, req baseRequest, trackConn func(stdnet.Conn, bool), tk *statsTracker) bool {
+	g := &hostGen{h: h, d: d}
+	addr := h.addr
 	var wg sync.WaitGroup
 	var okMu sync.Mutex
 	okItems := 0
@@ -1043,12 +1116,12 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 
 	runSlotConn := func(c stdnet.Conn, onSuccess func()) {
 		trackConn(c, true)
-		tk.update(addr, func(h *HostStats) {
-			h.SlotsConnected++
-			h.SlotShortfall = h.Capacity - h.SlotsConnected
+		tk.update(h.idx, func(hs *HostStats) {
+			hs.SlotsConnected++
+			hs.SlotShortfall = hs.Capacity - hs.SlotsConnected
 		})
 		defer func() {
-			tk.update(addr, func(h *HostStats) { h.SlotsConnected-- })
+			tk.update(h.idx, func(hs *HostStats) { hs.SlotsConnected-- })
 			trackConn(c, false)
 			c.Close()
 		}()
@@ -1060,7 +1133,7 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 		okMu.Unlock()
 		if halfOpen {
 			expandOnce.Do(func() {
-				tk.update(addr, func(h *HostStats) { h.Breaker = BreakerClosed })
+				tk.update(h.idx, func(hs *HostStats) { hs.Breaker = BreakerClosed })
 				if capacity > 1 {
 					r.logf("net: host %s: probe shard completed; breaker closed, expanding to capacity %d", addr, capacity)
 					dialExtras(capacity - 1)
@@ -1084,11 +1157,11 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 					if g.isDown() || d.runOver() || ctx.Err() != nil {
 						return
 					}
-					c, _, err := r.dial(ctx, addr)
+					c, _, err := r.dial(ctx, h)
 					if err != nil {
-						tk.update(addr, func(h *HostStats) {
-							h.SlotShortfall = h.Capacity - h.SlotsConnected
-							h.LastErr = err.Error()
+						tk.update(h.idx, func(hs *HostStats) {
+							hs.SlotShortfall = hs.Capacity - hs.SlotsConnected
+							hs.LastErr = err.Error()
 						})
 						r.logf("net: host %s: slot %d dial failed (%v); retrying in %v", addr, slot, err, backoff)
 						d.sleep(ctx, backoff)
@@ -1118,15 +1191,22 @@ func (r *Runner) runGeneration(ctx context.Context, addr string, conn0 stdnet.Co
 	return okItems > 0
 }
 
-// dial connects to a worker daemon and completes the hello handshake,
-// returning the connection and the daemon's advertised capacity.
-func (r *Runner) dial(ctx context.Context, addr string) (stdnet.Conn, int, error) {
+// dial opens a connection to one host — a TCP dial, or a worker spawn
+// for a pipe host — and completes the hello handshake, returning the
+// connection and the worker's advertised capacity. Everything after it is
+// transport-blind.
+func (r *Runner) dial(ctx context.Context, h host) (stdnet.Conn, int, error) {
 	timeout := r.DialTimeout
 	if timeout <= 0 {
 		timeout = DefaultDialTimeout
 	}
-	dialer := &stdnet.Dialer{Timeout: timeout}
-	conn, err := dialer.DialContext(ctx, "tcp", addr)
+	var conn stdnet.Conn
+	var err error
+	if h.exe != "" {
+		conn, err = spawn(h.exe)
+	} else {
+		conn, err = (&stdnet.Dialer{Timeout: timeout}).DialContext(ctx, "tcp", h.addr)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -1163,7 +1243,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *d
 		if g.isDown() || ctx.Err() != nil {
 			return
 		}
-		at := d.next(g.addr, g)
+		at := d.next(g.h.idx, g)
 		if at == nil {
 			return
 		}
@@ -1207,7 +1287,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *d
 			d.abandon(at)
 			return
 		}
-		err = fmt.Errorf("net: host %s: %w", g.addr, err)
+		err = fmt.Errorf("net: host %s: %w", g.h.addr, err)
 		if g.fail(err) {
 			r.logf("%v: connection lost; host backing off for redial", err)
 		}
@@ -1217,7 +1297,7 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *d
 		case exhausted:
 			st.failSpecs(retry, fmt.Errorf("%w (retries exhausted)", err))
 		case requeue:
-			r.logf("net: host %s: requeueing %d unreported jobs (attempt %d)", g.addr, len(retry), attempts)
+			r.logf("net: host %s: requeueing %d unreported jobs (attempt %d)", g.h.addr, len(retry), attempts)
 		}
 		return
 	}
@@ -1328,11 +1408,11 @@ func (s RunnerStats) String() string {
 	return b.String()
 }
 
-// statsTracker is the mutable, locked store behind RunnerStats.
+// statsTracker is the mutable, locked store behind RunnerStats, one row
+// per inventory entry.
 type statsTracker struct {
 	mu           sync.Mutex
-	order        []string
-	hosts        map[string]*HostStats
+	hosts        []HostStats
 	hedges       int
 	hedgeWins    int
 	fallbackUsed bool
@@ -1340,18 +1420,16 @@ type statsTracker struct {
 }
 
 func newStatsTracker(hosts []string) *statsTracker {
-	t := &statsTracker{order: hosts, hosts: make(map[string]*HostStats, len(hosts))}
-	for _, a := range hosts {
-		t.hosts[a] = &HostStats{Addr: a, Breaker: BreakerClosed}
+	t := &statsTracker{hosts: make([]HostStats, len(hosts))}
+	for i, a := range hosts {
+		t.hosts[i] = HostStats{Addr: a, Breaker: BreakerClosed}
 	}
 	return t
 }
 
-func (t *statsTracker) update(addr string, fn func(*HostStats)) {
+func (t *statsTracker) update(h int, fn func(*HostStats)) {
 	t.mu.Lock()
-	if h, ok := t.hosts[addr]; ok {
-		fn(h)
-	}
+	fn(&t.hosts[h])
 	t.mu.Unlock()
 }
 
@@ -1367,12 +1445,8 @@ func (t *statsTracker) hedgeWin() {
 	t.mu.Unlock()
 }
 
-func (t *statsTracker) itemDone(addr string) {
-	t.mu.Lock()
-	if h, ok := t.hosts[addr]; ok {
-		h.ItemsCompleted++
-	}
-	t.mu.Unlock()
+func (t *statsTracker) itemDone(h int) {
+	t.update(h, func(hs *HostStats) { hs.ItemsCompleted++ })
 }
 
 func (t *statsTracker) fallback(jobs int) {
@@ -1385,19 +1459,13 @@ func (t *statsTracker) fallback(jobs int) {
 func (t *statsTracker) snapshot() RunnerStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := RunnerStats{
-		Hosts:        make([]HostStats, 0, len(t.order)),
+	return RunnerStats{
+		Hosts:        append([]HostStats(nil), t.hosts...),
 		Hedges:       t.hedges,
 		HedgeWins:    t.hedgeWins,
 		FallbackUsed: t.fallbackUsed,
 		FallbackJobs: t.fallbackJobs,
 	}
-	for _, a := range t.order {
-		if h, ok := t.hosts[a]; ok {
-			s.Hosts = append(s.Hosts, *h)
-		}
-	}
-	return s
 }
 
 // Stats snapshots the most recent (possibly in-progress) Run's recovery

@@ -1,37 +1,50 @@
-// Package net promotes the sharded fleet from subprocess pipes to a
-// network service: the same versioned length-prefixed frames of
-// internal/fleet/wire, moved onto TCP sockets. Three layers live here:
+// Package net is the fleet's one remote-execution path: a fleet.Runner
+// that ships shards of spec-carrying jobs to worker processes as the
+// versioned length-prefixed frames of internal/fleet/wire, over one of
+// two transports chosen per Hosts entry — TCP to a long-lived daemon
+// ("host:port"), or the stdin/stdout pipes of a worker subprocess it
+// spawns ("exec:" re-executes the current binary, "exec:<path>" a built
+// ustaworker). Three layers live here:
 //
-//   - Server: the long-lived worker daemon (`ustaworker -listen addr`). It
-//     accepts connections, answers a hello handshake (protocol version +
-//     shard capacity), executes ShardRequest frames through the same
-//     shard.ServeRequest path the pipe worker uses, streams sample/result
-//     frames back, and pulses heartbeats while a shard runs.
-//   - Runner: the coordinator, a fleet.Runner over a static host inventory
-//     with liveness (heartbeat read deadlines), per-worker in-flight caps,
+//   - Server: the worker. It answers a hello handshake (protocol version +
+//     shard capacity), executes ShardRequest frames on the in-process
+//     LocalRunner, streams sample/result frames back, and pulses
+//     heartbeats while a shard runs. `ustaworker -listen addr` serves it
+//     on TCP; ServeStdio (`ustaworker` without -listen, or WorkerMain in a
+//     re-executed binary) serves it on the process's stdio.
+//   - Runner: the coordinator, over a static host inventory with liveness
+//     (heartbeat read deadlines), per-worker in-flight caps,
 //     retry-on-worker-loss that re-dispatches only the unreported jobs of
-//     a lost shard, and token-bucket admission on job intake. Seeds are
-//     resolved coordinator-side through fleet.EffectiveSeed, so a
-//     distributed run is byte-identical to LocalRunner — even after a
-//     worker dies mid-shard and its jobs are retried elsewhere.
+//     a lost shard, circuit breakers, hedging and token-bucket admission.
+//     After a transport is chosen, both run the same code. Seeds are
+//     resolved coordinator-side through fleet.EffectiveSeed, so a remote
+//     run is byte-identical to LocalRunner — even after a worker dies
+//     mid-shard and its jobs are retried elsewhere.
 //   - JobServer: a persistent submit/poll/cancel HTTP job service
 //     (`ustafleetd`) whose telemetry endpoint streams JSONL merged into
 //     submission order by Bus.
 package net
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	stdnet "net"
+	"os"
+	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/fleet"
-	"repro/internal/fleet/shard"
 	"repro/internal/fleet/wire"
+	"repro/internal/sink"
 )
 
 // DefaultHeartbeatInterval is how often a busy worker pulses a heartbeat
@@ -39,9 +52,9 @@ import (
 // one delayed pulse never kills a healthy worker.
 const DefaultHeartbeatInterval = 2 * time.Second
 
-// Server is the worker daemon: a TCP front end over shard.ServeRequest.
-// The zero value is usable; Capacity and HeartbeatInterval default at
-// serve time.
+// Server is the worker: the daemon protocol over TCP connections (Serve)
+// or one stdio pipe pair (ServeStdio). The zero value is usable; Capacity
+// and HeartbeatInterval default at serve time.
 type Server struct {
 	// Capacity is the daemon's concurrent-shard limit, advertised in the
 	// hello handshake and enforced with a semaphore across connections
@@ -60,6 +73,29 @@ type Server struct {
 	conns    map[stdnet.Conn]struct{}
 	draining bool
 	wg       sync.WaitGroup
+
+	// The last decoded predictor and its wire bytes: every item of a run
+	// ships the same predictor, so it is decoded once, not once per item.
+	predMu  sync.Mutex
+	predRaw []byte
+	pred    *core.Predictor
+}
+
+// predictor decodes a shard request's predictor, reusing the previous
+// request's when the bytes match. A predictor is read-only once trained,
+// so concurrent shards can share it, as in-process runs do.
+func (s *Server) predictor(raw []byte) (*core.Predictor, error) {
+	s.predMu.Lock()
+	defer s.predMu.Unlock()
+	if s.predRaw != nil && bytes.Equal(raw, s.predRaw) {
+		return s.pred, nil
+	}
+	p, err := wire.DecodePredictor(raw)
+	if err != nil {
+		return nil, err
+	}
+	s.predRaw, s.pred = raw, p
+	return p, nil
 }
 
 // capacity resolves the advertised concurrent-shard limit.
@@ -107,7 +143,6 @@ func (s *Server) Serve(ctx context.Context, ln stdnet.Listener) error {
 		return errors.New("net: server already serving")
 	}
 	s.ln = ln
-	s.conns = make(map[stdnet.Conn]struct{})
 	s.mu.Unlock()
 
 	// Shard executions across all connections share one capacity-wide
@@ -129,26 +164,51 @@ func (s *Server) Serve(ctx context.Context, ln stdnet.Listener) error {
 			}
 			return err
 		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
+		if !s.track(conn) {
 			conn.Close()
 			continue
 		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
 		go func() {
-			defer s.wg.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
+			defer s.untrack(conn)
 			s.handleConn(ctx, conn, sem)
 		}()
 	}
+}
+
+// serveConn serves one already-open connection — the stdio pipe pair —
+// until the peer closes it, ctx is cancelled or Shutdown is called.
+func (s *Server) serveConn(ctx context.Context, conn stdnet.Conn) {
+	if !s.track(conn) {
+		return
+	}
+	defer s.untrack(conn)
+	stop := context.AfterFunc(ctx, func() { s.Shutdown() })
+	defer stop()
+	s.handleConn(ctx, conn, make(chan struct{}, s.capacity()))
+}
+
+// track registers a connection for Shutdown; false once draining.
+func (s *Server) track(conn stdnet.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return false
+	}
+	if s.conns == nil {
+		s.conns = make(map[stdnet.Conn]struct{})
+	}
+	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+// untrack closes a served connection and releases its Shutdown wait.
+func (s *Server) untrack(conn stdnet.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
+	s.wg.Done()
 }
 
 // Shutdown drains the daemon gracefully: stop accepting, let every
@@ -172,8 +232,8 @@ func (s *Server) Shutdown() {
 	// after the in-flight shard completes.
 	s.mu.Lock()
 	for conn := range s.conns {
-		if tc, ok := conn.(*stdnet.TCPConn); ok {
-			tc.CloseRead()
+		if cr, ok := conn.(interface{ CloseRead() error }); ok {
+			cr.CloseRead()
 		} else {
 			conn.Close()
 		}
@@ -356,7 +416,7 @@ func (s *Server) serveShard(ctx context.Context, req *wire.ShardRequest, write f
 		}
 	}()
 
-	err := shard.ServeRequest(runCtx, req, write)
+	err := s.serveRequest(runCtx, req, write)
 
 	close(done)
 	wg.Wait()
@@ -367,4 +427,127 @@ func (s *Server) serveShard(ctx context.Context, req *wire.ShardRequest, write f
 		return runCtx.Err()
 	}
 	return err
+}
+
+// serveRequest executes one already-decoded shard request, streaming sample
+// and result frames through write (which must serialize access to the
+// underlying stream). Request-level failures — an undecodable predictor, a
+// broken transport — return a non-nil error for the caller to encode;
+// per-job failures travel as individual result frames and leave the shard
+// alive. A cancelled ctx degrades to per-job context errors on the
+// unfinished jobs, exactly like the local runner; the done (or error)
+// frame stays the caller's responsibility.
+func (s *Server) serveRequest(ctx context.Context, req *wire.ShardRequest, write func(*wire.Frame) error) error {
+	pred, err := s.predictor(req.Predictor)
+	if err != nil {
+		return err
+	}
+	canonicalizeDevices(req.Jobs)
+
+	// Materialize the runnable jobs; specs that fail report immediately as
+	// per-job errors and stay out of the batch.
+	jobs := make([]fleet.Job, 0, len(req.Jobs))
+	global := make([]int, 0, len(req.Jobs)) // local batch index → global index
+	for i := range req.Jobs {
+		spec := &req.Jobs[i]
+		job, merr := wire.Materialize(*spec, pred)
+		if merr != nil {
+			rf := &wire.ResultFrame{Index: spec.Index, Name: spec.Name, User: spec.User, Err: merr.Error()}
+			if rf.Name == "" {
+				rf.Name = spec.Workload.Name
+			}
+			if err := write(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf}); err != nil {
+				return err
+			}
+			continue
+		}
+		jobs = append(jobs, job)
+		global = append(global, spec.Index)
+	}
+
+	crashOn, crashArmed := crashIndex()
+	cfg := fleet.Config{Workers: req.Workers, Event: device.EventMode(req.Event)}
+	var remote *sink.Remote
+	if req.WantSamples {
+		remote = wire.SampleWriter(write, func(id sink.JobID) int { return global[int(id)] })
+		cfg.Sink = remote
+	}
+	var mu sync.Mutex
+	var resErr error
+	cfg.OnResult = func(res fleet.JobResult) {
+		// Stream each result as it completes so the coordinator's progress
+		// is live and a crash loses only unreported jobs.
+		idx := global[res.Index]
+		rf := wire.EncodeResult(res)
+		rf.Index = idx
+		err := write(&wire.Frame{V: wire.Version, Type: wire.TypeResult, Result: rf})
+		mu.Lock()
+		if err != nil && resErr == nil {
+			resErr = err
+		}
+		mu.Unlock()
+		if crashArmed && idx == crashOn {
+			os.Exit(3)
+		}
+	}
+	fleet.LocalRunner{}.Run(ctx, cfg, jobs)
+	mu.Lock()
+	err = resErr
+	mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if remote != nil {
+		if err := remote.Close(); err != nil {
+			return fmt.Errorf("telemetry stream: %w", err)
+		}
+	}
+	return nil
+}
+
+// canonicalizeDevices aliases value-identical device configurations to
+// one pointer. JSON decoding gives every spec its own Device copy, but the
+// local runner's phone pool is keyed by the Job.Device pointer — without
+// re-aliasing, a shard sweeping one configuration would never reuse a
+// phone and lose the pool's allocation win. Shards carry few distinct
+// configurations (one per scenario workload × ambient row), so the
+// quadratic-in-unique-configs scan is cheap.
+func canonicalizeDevices(specs []fleet.JobSpec) {
+	var uniq []*device.Config
+	for i := range specs {
+		d := specs[i].Device
+		if d == nil {
+			continue
+		}
+		matched := false
+		for _, u := range uniq {
+			if reflect.DeepEqual(*u, *d) {
+				specs[i].Device = u
+				matched = true
+				break
+			}
+		}
+		if !matched {
+			uniq = append(uniq, d)
+		}
+	}
+}
+
+// crashIndex reads the fault-injection env knob. It is honored only when
+// the worker is a Go test binary, so a stray environment variable can
+// never kill production workers (the runner forwards its whole
+// environment to every worker it spawns).
+func crashIndex() (int, bool) {
+	if !strings.HasSuffix(os.Args[0], ".test") {
+		return 0, false
+	}
+	v := os.Getenv(crashEnv)
+	if v == "" {
+		return 0, false
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, false
+	}
+	return n, true
 }

@@ -21,9 +21,9 @@ func writeRaw(payload []byte) []byte {
 	return append(hdr[:], payload...)
 }
 
-// TestFrameRoundTrip: every frame type survives WriteFrame → ReadFrame.
-func TestFrameRoundTrip(t *testing.T) {
-	frames := []*Frame{
+// roundTripFrames is one valid frame of every payload-carrying type.
+func roundTripFrames() []*Frame {
+	return []*Frame{
 		{V: Version, Type: TypeShard, Shard: &ShardRequest{
 			Workers: 3, WantSamples: true,
 			Jobs: []fleet.JobSpec{{
@@ -42,6 +42,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		{V: Version, Type: TypeDone},
 		{V: Version, Type: TypeError, Err: "boom"},
 	}
+}
+
+// TestFrameRoundTrip: every frame type survives WriteFrame → ReadFrame.
+func TestFrameRoundTrip(t *testing.T) {
+	frames := roundTripFrames()
 	var buf bytes.Buffer
 	for _, f := range frames {
 		if err := WriteFrame(&buf, f); err != nil {
@@ -91,19 +96,22 @@ func TestFrameShardPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadFrameMalformed is the decode error table: every way a frame can
-// be broken must map to a descriptive error, never a mis-decode or a hang.
-func TestReadFrameMalformed(t *testing.T) {
+// malformedFrame is one row of the decode error table.
+type malformedFrame struct {
+	name  string
+	input []byte
+	want  error
+}
+
+// malformedFrames lists every way a frame can be broken, with the error
+// it must map to.
+func malformedFrames() []malformedFrame {
 	good := func() []byte {
 		var buf bytes.Buffer
 		WriteFrame(&buf, &Frame{V: Version, Type: TypeDone})
 		return buf.Bytes()
 	}()
-	cases := []struct {
-		name  string
-		input []byte
-		want  error
-	}{
+	return []malformedFrame{
 		{"empty stream", nil, io.EOF},
 		{"truncated header", good[:2], io.ErrUnexpectedEOF},
 		{"truncated payload", good[:len(good)-3], io.ErrUnexpectedEOF},
@@ -123,7 +131,12 @@ func TestReadFrameMalformed(t *testing.T) {
 		{"error frame without message", writeRaw([]byte(`{"v":1,"type":"error"}`)), ErrBadFrame},
 		{"shard request with retired batched flag", writeRaw([]byte(`{"v":1,"type":"shard","shard":{"jobs":[],"batched":true}}`)), ErrBadFrame},
 	}
-	for _, tc := range cases {
+}
+
+// TestReadFrameMalformed is the decode error table: every way a frame can
+// be broken must map to a descriptive error, never a mis-decode or a hang.
+func TestReadFrameMalformed(t *testing.T) {
+	for _, tc := range malformedFrames() {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ReadFrame(bytes.NewReader(tc.input))
 			if !errors.Is(err, tc.want) {
@@ -131,6 +144,39 @@ func TestReadFrameMalformed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadFrame: the shared decoder returns a frame or an error for any
+// input, never both, never neither, and never panics. A decoded frame
+// re-encodes and decodes again. Seeds are the valid frames and the
+// malformed table above.
+func FuzzReadFrame(f *testing.F) {
+	for _, fr := range roundTripFrames() {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, tc := range malformedFrames() {
+		f.Add(tc.input)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fr, err := ReadFrame(bytes.NewReader(data))
+		if (fr == nil) == (err == nil) {
+			t.Fatalf("ReadFrame = %v, %v; want exactly one of frame and error", fr, err)
+		}
+		if fr == nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, fr); err != nil {
+			t.Fatalf("decoded %s frame does not re-encode: %v", fr.Type, err)
+		}
+		if _, err := ReadFrame(&buf); err != nil {
+			t.Fatalf("re-encoded %s frame does not decode: %v", fr.Type, err)
+		}
+	})
 }
 
 // TestMaterializeErrors is the spec-validation error table.

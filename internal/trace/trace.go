@@ -72,7 +72,7 @@ func (ts *TimeSeries) Len() int { return len(ts.TimeSec) }
 func (ts *TimeSeries) Lookup(name string) *Series { return ts.byName[name] }
 
 // Reindex rebuilds the name index from the exported fields. A TimeSeries
-// decoded from JSON (the shard runner ships run traces between processes)
+// decoded from JSON (the remote runner ships run traces between processes)
 // arrives without the unexported index, so Lookup would find nothing until
 // it is reindexed. Like AddNode-order registration, the first series with
 // a given name wins.

@@ -65,7 +65,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/fleet/durable"
 	fleetnet "repro/internal/fleet/net"
-	"repro/internal/fleet/shard"
 	"repro/internal/governor"
 	"repro/internal/ml"
 	"repro/internal/ml/linreg"
@@ -112,13 +111,14 @@ type (
 	// controller factory).
 	Job = fleet.Job
 	// JobSpec is a Job's serializable description — what lets it cross a
-	// process boundary under a shard runner. Scenario-expanded jobs carry
-	// one automatically.
+	// process boundary to a remote worker (NewShardRunner, NewNetRunner).
+	// Scenario-expanded jobs carry one automatically.
 	JobSpec = fleet.JobSpec
 	// JobResult is one job's outcome, with per-job errors.
 	JobResult = fleet.JobResult
-	// Runner executes fleet batches: the in-process pool by default, or a
-	// multi-process shard coordinator (NewShardRunner).
+	// Runner executes fleet batches: the in-process pool by default, or the
+	// remote coordinator over worker subprocesses (NewShardRunner) or TCP
+	// daemons (NewNetRunner).
 	Runner = fleet.Runner
 
 	// Workload is a deterministic demand trace.
@@ -255,22 +255,31 @@ func WithSink(s Sink) SessionOption { return fleet.WithSink(s) }
 // valid and uses GOMAXPROCS workers.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }
 
-// NewShardRunner returns a fleet Runner that partitions every batch into n
-// contiguous shards (n <= 0: GOMAXPROCS), each executed by a worker
-// subprocess speaking length-prefixed JSON over its pipes, and merges
-// results — and streamed telemetry — back into submission order. Output is
-// byte-identical to the in-process runner: seeds are resolved from job
-// position before dispatch. Jobs must carry a JobSpec (scenario-expanded
-// jobs do); set the runner's Predictor when specs use the usta controller,
-// or let RunScenario do it. By default workers are spawned by re-executing
-// the current binary, which must call ShardWorkerMain first thing in
-// main(); set Command to a built cmd/ustaworker to avoid that.
-func NewShardRunner(n int) *shard.Runner { return shard.New(n) }
+// NewShardRunner returns the remote coordinator over n worker subprocesses
+// (n <= 0: GOMAXPROCS): a NewNetRunner whose hosts are n "exec:" entries,
+// each one re-execution of the current binary speaking the worker protocol
+// over its stdin and stdout. Output — results and streamed telemetry — is
+// byte-identical to the in-process runner, because seeds are resolved
+// from job position before dispatch. Pipe workers get the TCP path's
+// retries, breakers, hedging and Stats; a worker that dies mid-shard is
+// respawned and only its unreported jobs are re-run. Jobs must carry a
+// JobSpec (scenario-expanded jobs do); set the runner's Predictor when
+// specs use the usta controller, or let RunScenario do it. The current
+// binary must call ShardWorkerMain first thing in main(); to use a built
+// cmd/ustaworker instead, list "exec:<path>" hosts in NewNetRunner.
+func NewShardRunner(n int) *fleetnet.Runner {
+	hosts := make([]string, fleet.NormalizeWorkers(n))
+	for i := range hosts {
+		hosts[i] = "exec:"
+	}
+	return fleetnet.New(hosts)
+}
 
-// NewNetRunner returns a fleet Runner that dispatches shards to long-lived
-// worker daemons (`ustaworker -listen host:port`) over TCP instead of
-// spawning subprocesses. Each host advertises its shard capacity in a
-// hello handshake; the coordinator keeps that many dispatch slots open per
+// NewNetRunner returns a fleet Runner that dispatches shards to worker
+// processes: long-lived daemons (`ustaworker -listen host:port`) over TCP,
+// or, for "exec:" / "exec:<path>" entries, spawned pipe workers (see
+// NewShardRunner). Each host advertises its shard capacity in a hello
+// handshake; the coordinator keeps that many dispatch slots open per
 // host, tracks liveness with heartbeat deadlines, and on a lost worker
 // re-dispatches only the jobs whose results never arrived. Seeds are
 // resolved coordinator-side from job position, so a distributed run is
@@ -289,12 +298,12 @@ func NewShardRunner(n int) *shard.Runner { return shard.New(n) }
 // heartbeat tuning, and Runner.Stats for the per-run recovery snapshot.
 func NewNetRunner(hosts []string) *fleetnet.Runner { return fleetnet.New(hosts) }
 
-// ShardWorkerMain serves a shard request over stdin/stdout and exits when
-// this process was spawned as a shard worker; otherwise it returns
-// immediately. Binaries (and TestMains) that coordinate shard runs with
-// the default self-exec worker command must call it before doing anything
-// else.
-func ShardWorkerMain() { shard.Main() }
+// ShardWorkerMain serves the worker protocol over stdin/stdout and exits
+// when this process was spawned by an "exec:" host (NewShardRunner);
+// otherwise it returns immediately. Binaries (and TestMains) that
+// coordinate shard runs re-executing themselves must call it before doing
+// anything else.
+func ShardWorkerMain() { fleetnet.WorkerMain() }
 
 // LoadScenario reads a declarative sweep spec from a JSON or YAML file
 // (format autodetected from content) and validates it.
@@ -348,22 +357,25 @@ type ScenarioOption func(*scenarioRun)
 
 // ScenarioWorkers bounds the sweep's worker pool (<= 0: GOMAXPROCS).
 // Results are identical at any width. Under ScenarioShards this is the
-// pool width inside each worker process.
+// pool width inside each worker process (<= 0: GOMAXPROCS split across
+// the processes).
 func ScenarioWorkers(n int) ScenarioOption { return func(rc *scenarioRun) { rc.workers = n } }
 
-// ScenarioShards runs the sweep across n worker subprocesses (<= 0:
-// GOMAXPROCS) instead of in-process goroutines, with results and sink
-// telemetry byte-identical to the local runner. The calling binary must
-// call ShardWorkerMain at the top of main(); see NewShardRunner for spawn
-// details and ScenarioRunner to customize them.
+// ScenarioShards runs the sweep on NewShardRunner(n) — n worker
+// subprocesses (<= 0: GOMAXPROCS) instead of in-process goroutines — with
+// results and sink telemetry byte-identical to the local runner. The
+// calling binary must call ShardWorkerMain at the top of main(). To read
+// the run's Stats, or to use a built ustaworker, pass the runner through
+// ScenarioRunner instead.
 func ScenarioShards(n int) ScenarioOption {
 	return func(rc *scenarioRun) { rc.shards = n; rc.sharded = true }
 }
 
 // ScenarioRunner executes the sweep on a custom fleet Runner — e.g. a
-// NewShardRunner with an explicit worker Command. It overrides
-// ScenarioShards. A shard or net runner without a predictor is handed the
-// sweep's (supplied or self-trained) predictor automatically.
+// NewNetRunner over daemons or "exec:<path>" workers. It overrides
+// ScenarioShards. A remote runner (*fleetnet.Runner) is handed the sweep's
+// (supplied or self-trained) predictor on a copy that still publishes its
+// Stats to the caller's runner.
 func ScenarioRunner(r Runner) ScenarioOption {
 	return func(rc *scenarioRun) { rc.runner = r }
 }
@@ -530,17 +542,12 @@ func RunScenario(ctx context.Context, spec *ScenarioSpec, opts ...ScenarioOption
 	case rc.runner != nil:
 		fcfg.Runner = rc.runner
 	case rc.sharded:
-		fcfg.Runner = shard.New(rc.shards)
+		fcfg.Runner = NewShardRunner(rc.shards)
 	}
-	// A shard runner's workers must rebuild usta controllers from the same
-	// predictor this sweep expanded against, or sharded and local runs
-	// diverge. The caller's runner is never mutated (concurrent sweeps may
-	// share one); this sweep runs on a copy carrying its own predictor.
-	if sr, ok := fcfg.Runner.(*shard.Runner); ok && pred != nil {
-		srCopy := *sr
-		srCopy.Predictor = pred
-		fcfg.Runner = &srCopy
-	}
+	// Remote workers must rebuild usta controllers from the same predictor
+	// this sweep expanded against, or remote and local runs diverge. The
+	// caller's runner is never mutated (concurrent sweeps may share one);
+	// this sweep runs on a copy carrying its own predictor.
 	if nr, ok := fcfg.Runner.(*fleetnet.Runner); ok && pred != nil {
 		nrCopy := *nr
 		nrCopy.Predictor = pred

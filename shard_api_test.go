@@ -10,9 +10,9 @@ import (
 	"repro"
 )
 
-// TestMain lets the test binary double as a shard worker: NewShardRunner's
-// default command re-executes the current binary, and ShardWorkerMain
-// serves the shard instead of running the tests.
+// TestMain lets the test binary double as a pipe worker: NewShardRunner's
+// "exec:" hosts re-execute the current binary, and ShardWorkerMain serves
+// the coordinator over stdio instead of running the tests.
 func TestMain(m *testing.M) {
 	repro.ShardWorkerMain()
 	os.Exit(m.Run())
@@ -43,9 +43,9 @@ func (c *countingSink) Close() error { return nil }
 
 // TestShardRunnerMatchesLocalTable1 is the sharded-fleet acceptance test:
 // the paper's Table 1 scenario must produce byte-identical analytics cells
-// under the in-process runner (workers 1 and GOMAXPROCS) and the
-// multi-process shard runner (2 and 4 worker subprocesses), with every
-// job's telemetry delivered across the process boundary.
+// under the in-process runner (workers 1 and GOMAXPROCS) and the remote
+// runner over 2 and 4 pipe-worker subprocesses, with every job's
+// telemetry delivered across the process boundary.
 func TestShardRunnerMatchesLocalTable1(t *testing.T) {
 	spec, err := repro.LoadScenario(table1SpecPath)
 	if err != nil {
@@ -113,8 +113,9 @@ func TestShardRunnerMatchesLocalTable1(t *testing.T) {
 	}
 }
 
-// TestShardRunnerRequiresWorkerHook documents the self-exec contract: a
-// spec-less hand-built job cannot shard, and the error says why.
+// TestShardRunnerSpeclessJobFailsDescriptively documents the self-exec
+// contract: a spec-less hand-built job cannot shard, and the error says
+// why.
 func TestShardRunnerSpeclessJobFailsDescriptively(t *testing.T) {
 	jobs := []repro.Job{{Workload: repro.WorkloadByName("skype", 1), DurSec: 10}}
 	results := repro.NewShardRunner(1).Run(context.Background(), repro.FleetConfig{Seed: 1}, jobs)
