@@ -15,6 +15,7 @@ import (
 	"repro/internal/ml/m5p"
 	"repro/internal/ml/mlp"
 	"repro/internal/ml/tree"
+	"repro/internal/sensors"
 )
 
 type persistedPredictor struct {
@@ -82,7 +83,34 @@ func SavePredictor(w io.Writer, p *Predictor) error {
 	return enc.Encode(persistedPredictor{Algorithm: algo, Skin: skin, Screen: screen})
 }
 
-// LoadPredictor deserializes a predictor saved by SavePredictor.
+// checkWidth rejects a decoded model whose Predict would read past the
+// canonical feature tuple: predictors arrive over the network, and a
+// malformed one must fail to load rather than panic the worker later.
+func checkWidth(r ml.Regressor) error {
+	n := len(sensors.FeatureNames)
+	switch m := r.(type) {
+	case *tree.Model:
+		if a := m.MaxAttr(); a >= n {
+			return fmt.Errorf("split attribute %d out of range for %d features", a, n)
+		}
+	case *m5p.Model:
+		if m.NumAttrs() != n {
+			return fmt.Errorf("fitted on %d features, want %d", m.NumAttrs(), n)
+		}
+	case *linreg.Model:
+		if len(m.Coef) != n+1 {
+			return fmt.Errorf("%d coefficients, want %d", len(m.Coef), n+1)
+		}
+	case *mlp.Model:
+		if m.NumInputs() != n {
+			return fmt.Errorf("fitted on %d inputs, want %d", m.NumInputs(), n)
+		}
+	}
+	return nil
+}
+
+// LoadPredictor deserializes a predictor saved by SavePredictor. It
+// rejects models that do not fit the canonical feature tuple.
 func LoadPredictor(r io.Reader) (*Predictor, error) {
 	var pp persistedPredictor
 	if err := json.NewDecoder(r).Decode(&pp); err != nil {
@@ -101,6 +129,12 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	}
 	if err := json.Unmarshal(pp.Screen, screen); err != nil {
 		return nil, fmt.Errorf("core: decode screen model: %w", err)
+	}
+	if err := checkWidth(skin); err != nil {
+		return nil, fmt.Errorf("core: skin model: %w", err)
+	}
+	if err := checkWidth(screen); err != nil {
+		return nil, fmt.Errorf("core: screen model: %w", err)
 	}
 	return &Predictor{SkinModel: skin, ScreenModel: screen}, nil
 }

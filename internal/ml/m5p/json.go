@@ -6,6 +6,7 @@ package m5p
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 )
 
 type jsonNode struct {
@@ -38,20 +39,26 @@ func toJSONNode(nd *node) *jsonNode {
 	}
 }
 
-func fromJSONNode(jn *jsonNode) (*node, error) {
+// fromJSONNode rebuilds a subtree over numAttrs features, rejecting what
+// Predict could not evaluate: linear models of the wrong width and split
+// attributes outside the feature vector.
+func fromJSONNode(jn *jsonNode, numAttrs int) (*node, error) {
 	if jn == nil {
 		return nil, nil
 	}
-	if len(jn.LM) == 0 {
-		return nil, errors.New("m5p: serialized node has no linear model")
+	if len(jn.LM) != numAttrs+1 {
+		return nil, fmt.Errorf("m5p: serialized linear model has %d terms, want %d", len(jn.LM), numAttrs+1)
 	}
 	nd := &node{attr: jn.Attr, threshold: jn.Threshold, lm: jn.LM, n: jn.N, leaf: jn.Leaf}
 	if !nd.leaf {
+		if nd.attr < 0 || nd.attr >= numAttrs {
+			return nil, fmt.Errorf("m5p: serialized split attribute %d out of range [0,%d)", nd.attr, numAttrs)
+		}
 		var err error
-		if nd.left, err = fromJSONNode(jn.Left); err != nil {
+		if nd.left, err = fromJSONNode(jn.Left, numAttrs); err != nil {
 			return nil, err
 		}
-		if nd.right, err = fromJSONNode(jn.Right); err != nil {
+		if nd.right, err = fromJSONNode(jn.Right, numAttrs); err != nil {
 			return nil, err
 		}
 		if nd.left == nil || nd.right == nil {
@@ -82,7 +89,10 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if jm.Root == nil {
 		return errors.New("m5p: serialized model has no root")
 	}
-	root, err := fromJSONNode(jm.Root)
+	if jm.NumAttrs < 0 {
+		return errors.New("m5p: serialized attribute count is negative")
+	}
+	root, err := fromJSONNode(jm.Root, jm.NumAttrs)
 	if err != nil {
 		return err
 	}

@@ -355,6 +355,9 @@ func (m *Model) smoothedPredict(nd *node, x []float64) float64 {
 	return (n*p + k*q) / (n + k)
 }
 
+// NumAttrs returns the feature-vector width the model was fitted on.
+func (m *Model) NumAttrs() int { return m.numAttrs }
+
 // NumNodes returns the node count of the fitted tree.
 func (m *Model) NumNodes() int { return countNodes(m.root) }
 

@@ -44,8 +44,14 @@ func (d *Dataset) Add(x []float64, y float64) {
 	d.Y = append(d.Y, y)
 }
 
-// Len returns the number of instances.
-func (d *Dataset) Len() int { return len(d.X) }
+// Len returns the number of instances (0 for a nil dataset, so Fit
+// implementations reject nil as empty).
+func (d *Dataset) Len() int {
+	if d == nil {
+		return 0
+	}
+	return len(d.X)
+}
 
 // NumAttrs returns the number of features.
 func (d *Dataset) NumAttrs() int { return len(d.AttrNames) }

@@ -43,6 +43,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if len(jm.WIn) == 0 || len(jm.WOut) != len(jm.WIn)+1 {
 		return errors.New("mlp: serialized weight shapes are inconsistent")
 	}
+	if len(jm.InHi) != len(jm.InLo) {
+		return errors.New("mlp: serialized normalization ranges differ in length")
+	}
 	for _, row := range jm.WIn {
 		if len(row) != len(jm.InLo)+1 {
 			return errors.New("mlp: serialized input weights do not match normalization range")

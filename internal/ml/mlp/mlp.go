@@ -179,6 +179,9 @@ func (m *Model) denormTarget(t float64) float64 {
 	return (t+1)/2*(m.yHi-m.yLo) + m.yLo
 }
 
+// NumInputs returns the feature-vector width the model was fitted on.
+func (m *Model) NumInputs() int { return len(m.inLo) }
+
 // Predict implements ml.Regressor.
 func (m *Model) Predict(x []float64) float64 {
 	if !m.ready {

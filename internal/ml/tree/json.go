@@ -7,6 +7,7 @@ package tree
 import (
 	"encoding/json"
 	"errors"
+	"math"
 )
 
 type jsonNode struct {
@@ -42,8 +43,17 @@ func fromJSONNode(jn *jsonNode) (*node, error) {
 	if jn == nil {
 		return nil, nil
 	}
+	if !finite(jn.Value) {
+		return nil, errors.New("tree: serialized node value is not finite")
+	}
 	nd := &node{attr: jn.Attr, threshold: jn.Threshold, value: jn.Value, leaf: jn.Leaf, n: jn.N}
 	if !nd.leaf {
+		if nd.attr < 0 {
+			return nil, errors.New("tree: serialized split attribute is negative")
+		}
+		if !finite(nd.threshold) {
+			return nil, errors.New("tree: serialized split threshold is not finite")
+		}
 		var err error
 		if nd.left, err = fromJSONNode(jn.Left); err != nil {
 			return nil, err
@@ -57,6 +67,8 @@ func fromJSONNode(jn *jsonNode) (*node, error) {
 	}
 	return nd, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // MarshalJSON implements json.Marshaler for a fitted model.
 func (m *Model) MarshalJSON() ([]byte, error) {

@@ -7,11 +7,29 @@
 // (attribute, threshold) candidates; pruning holds out one fold of the
 // training data (default one third) and collapses any subtree whose
 // held-out error is no better than predicting its mean.
+//
+// The grower presorts, the classic C4.5/WEKA trick. Fit copies the growing
+// set into column-major arrays and sorts each attribute's instances once,
+// by (value, position in growing order): equal values keep growing order.
+// A node is the same range of every sorted list and of one list in growing
+// order, and a split stable-partitions each list in place, so every node
+// scans its instances in exactly the order a stable per-node sort would
+// give. The split statistics are therefore summed in a fixed tie order and
+// the tree equals that of a grower that stable-sorts at every node. Node
+// means are summed in growing order. Left subtrees of large nodes grow on
+// their own goroutine while a slot (GOMAXPROCS−1 per Fit) is free; sibling
+// ranges are disjoint, so the tree does not depend on scheduling.
 package tree
 
 import (
+	"cmp"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/ml"
 )
@@ -36,6 +54,10 @@ type Model struct {
 
 var _ ml.Regressor = (*Model)(nil)
 
+// ErrNonFinite is returned (wrapped) by Fit when a feature or target is NaN
+// or ±Inf: the presort needs a total order on every attribute.
+var ErrNonFinite = errors.New("tree: non-finite value in dataset")
+
 type node struct {
 	attr      int
 	threshold float64
@@ -59,117 +81,273 @@ func (m *Model) Fit(d *ml.Dataset) error {
 	if d.Len() == 0 {
 		return ml.ErrEmptyDataset
 	}
-	minInst := m.MinInstances
-	if minInst < 1 {
-		minInst = 2
+	if err := checkDataset(d); err != nil {
+		return err
 	}
-	folds := m.PruneFolds
-	if folds == 0 {
-		folds = 3
-	}
-
-	growIdx := make([]int, 0, d.Len())
-	pruneIdx := make([]int, 0, d.Len()/2)
-	if folds > 1 && d.Len() >= 2*folds {
-		perm := rand.New(rand.NewSource(m.Seed)).Perm(d.Len())
-		for i, p := range perm {
-			if i%folds == 0 {
-				pruneIdx = append(pruneIdx, p)
-			} else {
-				growIdx = append(growIdx, p)
-			}
-		}
-	} else {
-		for i := 0; i < d.Len(); i++ {
-			growIdx = append(growIdx, i)
-		}
-	}
-
-	g := &grower{d: d, minInst: minInst, maxDepth: m.MaxDepth}
-	m.root = g.grow(growIdx, 0)
+	minInst, folds := m.settings()
+	growIdx, pruneIdx := holdOut(d.Len(), folds, m.Seed)
+	m.root = growPresorted(d, growIdx, minInst, m.MaxDepth)
 	if len(pruneIdx) > 0 {
 		pruneREP(m.root, d, pruneIdx)
 	}
 	return nil
 }
 
-type grower struct {
-	d        *ml.Dataset
+// checkDataset rejects shapes and values the grower cannot order.
+func checkDataset(d *ml.Dataset) error {
+	if len(d.Y) != len(d.X) {
+		return fmt.Errorf("tree: dataset has %d feature rows but %d targets", len(d.X), len(d.Y))
+	}
+	for i, x := range d.X {
+		if len(x) != d.NumAttrs() {
+			return fmt.Errorf("tree: row %d has %d features, dataset declares %d", i, len(x), d.NumAttrs())
+		}
+		for a, v := range x {
+			if !finite(v) {
+				return fmt.Errorf("%w: row %d attribute %q is %v", ErrNonFinite, i, d.AttrNames[a], v)
+			}
+		}
+		if y := d.Y[i]; !finite(y) {
+			return fmt.Errorf("%w: row %d target is %v", ErrNonFinite, i, y)
+		}
+	}
+	return nil
+}
+
+// settings resolves the zero-value defaults.
+func (m *Model) settings() (minInst, folds int) {
+	minInst = m.MinInstances
+	if minInst < 1 {
+		minInst = 2
+	}
+	folds = m.PruneFolds
+	if folds == 0 {
+		folds = 3
+	}
+	return minInst, folds
+}
+
+// holdOut splits instances 0..n-1 into the growing set, in growing order,
+// and the pruning fold: a seeded shuffle deals every folds-th instance to
+// pruning. With folds <= 1 or too few instances everything grows.
+func holdOut(n, folds int, seed int64) (growIdx, pruneIdx []int) {
+	growIdx = make([]int, 0, n)
+	if folds > 1 && n >= 2*folds {
+		pruneIdx = make([]int, 0, n/2)
+		for i, p := range rand.New(rand.NewSource(seed)).Perm(n) {
+			if i%folds == 0 {
+				pruneIdx = append(pruneIdx, p)
+			} else {
+				growIdx = append(growIdx, p)
+			}
+		}
+		return growIdx, pruneIdx
+	}
+	for i := 0; i < n; i++ {
+		growIdx = append(growIdx, i)
+	}
+	return growIdx, nil
+}
+
+// forkMin is the smallest node whose left subtree may grow on its own
+// goroutine, so that forks stay few and each carries enough work to
+// outweigh its start-up.
+const forkMin = 384
+
+// presorted holds one Fit's growing set, presorted. Instances are named by
+// their position p in growing order. A node owns the range [lo,hi) of
+// every list in sorted and of order; concurrent subtrees own disjoint
+// ranges, and so disjoint positions of goLeft and disjoint ranges of tmp.
+type presorted struct {
+	x        [][]float64 // x[a][p]: attribute a of position p
+	y        []float64   // y[p]: target of position p
+	sorted   [][]int32   // sorted[a]: positions ordered by (x[a][p], p)
+	order    []int32     // positions in growing order
+	goLeft   []bool      // goLeft[p]: side of the split being applied
+	tmp      []int32     // stable-partition scratch, indexed like the lists
 	minInst  int
 	maxDepth int
+	tokens   chan struct{} // one slot per goroutine a subtree may fork
 }
 
-func meanOf(d *ml.Dataset, idx []int) float64 {
-	var s float64
-	for _, i := range idx {
-		s += d.Y[i]
+// growPresorted grows the unpruned tree on the instances growIdx of d.
+func growPresorted(d *ml.Dataset, growIdx []int, minInst, maxDepth int) *node {
+	n, na := len(growIdx), d.NumAttrs()
+	g := &presorted{
+		x:        make([][]float64, na),
+		y:        make([]float64, n),
+		sorted:   make([][]int32, na),
+		order:    make([]int32, n),
+		goLeft:   make([]bool, n),
+		tmp:      make([]int32, n),
+		minInst:  minInst,
+		maxDepth: maxDepth,
+		tokens:   make(chan struct{}, runtime.GOMAXPROCS(0)-1),
 	}
-	return s / float64(len(idx))
+	for p, i := range growIdx {
+		g.y[p] = d.Y[i]
+		g.order[p] = int32(p)
+	}
+	for a := range g.x {
+		col := make([]float64, n)
+		for p, i := range growIdx {
+			col[p] = d.X[i][a]
+		}
+		g.x[a] = col
+	}
+	// Sort the attributes concurrently, worker w taking every k-th one.
+	k := min(na, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for w := 0; w < k; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for a := w; a < na; a += k {
+				g.sorted[a] = presort(g.x[a])
+			}
+		}()
+	}
+	wg.Wait()
+	return g.grow(0, n, 0)
 }
 
-func (g *grower) grow(idx []int, depth int) *node {
-	nd := &node{value: meanOf(g.d, idx), n: len(idx), leaf: true}
-	if len(idx) < 2*g.minInst {
+// presort returns the positions 0..len(col)-1 ordered by (col[p], p).
+// Sorting (value, position) pairs keeps the comparisons off the column.
+func presort(col []float64) []int32 {
+	type keyed struct {
+		v float64
+		p int32
+	}
+	ks := make([]keyed, len(col))
+	for p, v := range col {
+		ks[p] = keyed{v, int32(p)}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.v < b.v {
+			return -1
+		}
+		if a.v > b.v {
+			return 1
+		}
+		return cmp.Compare(a.p, b.p)
+	})
+	s := make([]int32, len(ks))
+	for k, e := range ks {
+		s[k] = e.p
+	}
+	return s
+}
+
+// grow builds the subtree of the node owning [lo,hi).
+func (g *presorted) grow(lo, hi, depth int) *node {
+	n := hi - lo
+	var sum float64
+	for _, p := range g.order[lo:hi] {
+		sum += g.y[p]
+	}
+	nd := &node{value: sum / float64(n), n: n, leaf: true}
+	if n < 2*g.minInst {
 		return nd
 	}
 	if g.maxDepth > 0 && depth >= g.maxDepth {
 		return nd
 	}
-	attr, thr, ok := g.bestSplit(idx)
+	attr, thr, ok := g.bestCut(lo, hi)
 	if !ok {
 		return nd
 	}
-	var left, right []int
-	for _, i := range idx {
-		if g.d.X[i][attr] <= thr {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
+	// The midpoint threshold can round onto the upper value, so the sides
+	// are recounted rather than taken from the sweep.
+	col, nl := g.x[attr], 0
+	for _, p := range g.order[lo:hi] {
+		left := col[p] <= thr
+		g.goLeft[p] = left
+		if left {
+			nl++
 		}
 	}
-	if len(left) < g.minInst || len(right) < g.minInst {
+	if nl < g.minInst || n-nl < g.minInst {
 		return nd
 	}
+	for a, list := range g.sorted {
+		if a != attr { // the split attribute's own range is already split
+			g.partition(list[lo:hi], g.tmp[lo:hi])
+		}
+	}
+	g.partition(g.order[lo:hi], g.tmp[lo:hi])
 	nd.leaf = false
 	nd.attr = attr
 	nd.threshold = thr
-	nd.left = g.grow(left, depth+1)
-	nd.right = g.grow(right, depth+1)
+	mid := lo + nl
+	if n >= forkMin && g.acquire() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			nd.left = g.grow(lo, mid, depth+1)
+			<-g.tokens
+		}()
+		nd.right = g.grow(mid, hi, depth+1)
+		<-done
+		return nd
+	}
+	nd.left = g.grow(lo, mid, depth+1)
+	nd.right = g.grow(mid, hi, depth+1)
 	return nd
 }
 
-// bestSplit scans every attribute with a sort + prefix-sum sweep, returning
-// the (attribute, threshold) pair minimizing the children's summed squared
-// error. ok is false when no split separates the data.
-func (g *grower) bestSplit(idx []int) (attr int, threshold float64, ok bool) {
-	bestSSE := math.Inf(1)
-	n := len(idx)
-	order := make([]int, n)
-	for a := 0; a < g.d.NumAttrs(); a++ {
-		copy(order, idx)
-		sortByAttr(order, g.d, a)
+// acquire takes a fork slot if one is free.
+func (g *presorted) acquire() bool {
+	select {
+	case g.tokens <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
 
-		// Suffix statistics of the whole node.
+// partition stably moves the positions marked goLeft to the front of seg,
+// using tmp (same length) for the right side.
+func (g *presorted) partition(seg, tmp []int32) {
+	l, r := 0, 0
+	for _, p := range seg {
+		if g.goLeft[p] {
+			seg[l] = p
+			l++
+		} else {
+			tmp[r] = p
+			r++
+		}
+	}
+	copy(seg[l:], tmp[:r])
+}
+
+// bestCut sweeps every attribute's sorted range with prefix sums,
+// returning the (attribute, threshold) pair minimizing the children's
+// summed squared error. ok is false when no split separates the data.
+func (g *presorted) bestCut(lo, hi int) (attr int, threshold float64, ok bool) {
+	bestSSE := math.Inf(1)
+	n := hi - lo
+	for a, list := range g.sorted {
+		seg, col := list[lo:hi], g.x[a]
 		var sumAll, sumSqAll float64
-		for _, i := range order {
-			sumAll += g.d.Y[i]
-			sumSqAll += g.d.Y[i] * g.d.Y[i]
+		for _, p := range seg {
+			sumAll += g.y[p]
+			sumSqAll += g.y[p] * g.y[p]
 		}
 		var sumL, sumSqL float64
-		for p := 0; p < n-1; p++ {
-			y := g.d.Y[order[p]]
+		for k := 0; k < n-1; k++ {
+			y := g.y[seg[k]]
 			sumL += y
 			sumSqL += y * y
-			xCur := g.d.X[order[p]][a]
-			xNext := g.d.X[order[p+1]][a]
+			if k+1 < g.minInst || n-k-1 < g.minInst {
+				continue
+			}
+			xCur, xNext := col[seg[k]], col[seg[k+1]]
 			if xCur == xNext {
 				continue // can only split between distinct values
 			}
-			if p+1 < g.minInst || n-p-1 < g.minInst {
-				continue
-			}
-			nl := float64(p + 1)
-			nr := float64(n - p - 1)
+			nl := float64(k + 1)
+			nr := float64(n - k - 1)
 			sumR := sumAll - sumL
 			sumSqR := sumSqAll - sumSqL
 			sse := (sumSqL - sumL*sumL/nl) + (sumSqR - sumR*sumR/nr)
@@ -182,41 +360,6 @@ func (g *grower) bestSplit(idx []int) (attr int, threshold float64, ok bool) {
 		}
 	}
 	return attr, threshold, ok
-}
-
-func sortByAttr(order []int, d *ml.Dataset, a int) {
-	// Insertion-free: use sort.Slice equivalent via stdlib.
-	quickSort(order, func(i, j int) bool { return d.X[i][a] < d.X[j][a] })
-}
-
-// quickSort sorts idx with the given less function. Extracted so the hot
-// path avoids interface allocations in sort.Slice.
-func quickSort(idx []int, less func(a, b int) bool) {
-	if len(idx) < 12 {
-		for i := 1; i < len(idx); i++ {
-			for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			}
-		}
-		return
-	}
-	pivot := idx[len(idx)/2]
-	lo, hi := 0, len(idx)-1
-	for lo <= hi {
-		for less(idx[lo], pivot) {
-			lo++
-		}
-		for less(pivot, idx[hi]) {
-			hi--
-		}
-		if lo <= hi {
-			idx[lo], idx[hi] = idx[hi], idx[lo]
-			lo++
-			hi--
-		}
-	}
-	quickSort(idx[:hi+1], less)
-	quickSort(idx[lo:], less)
 }
 
 // pruneREP performs bottom-up reduced-error pruning: a subtree collapses to
@@ -276,6 +419,17 @@ func countNodes(nd *node) int {
 		return 1
 	}
 	return 1 + countNodes(nd.left) + countNodes(nd.right)
+}
+
+// MaxAttr returns the largest split attribute of the fitted tree: Predict
+// reads x[0..MaxAttr]. It is -1 for a single leaf or before Fit.
+func (m *Model) MaxAttr() int { return maxAttrOf(m.root) }
+
+func maxAttrOf(nd *node) int {
+	if nd == nil || nd.leaf {
+		return -1
+	}
+	return max(nd.attr, maxAttrOf(nd.left), maxAttrOf(nd.right))
 }
 
 // Depth returns the depth of the fitted tree (a lone leaf has depth 1).
