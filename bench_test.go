@@ -383,20 +383,16 @@ func BenchmarkFleetRun(b *testing.B) {
 	})
 }
 
-// BenchmarkEventRun measures one device's stepping engines head to head on
-// a 5-minute Skype slice (trace-free, stock governor, no controller — the
-// pure stepping cost): the fixed-tick oracle, the event engine with every
-// tick canonical (plumbing overhead), the held-segment sequential oracle,
-// and the dt-ladder jump engine. The metric is simulated seconds per wall
-// second.
+// BenchmarkEventRun measures one device's two stepping engines head to
+// head on a 5-minute Skype slice (trace-free, stock governor, no
+// controller — the pure stepping cost): the fixed-tick loop and the
+// dt-ladder jump engine. The metric is simulated seconds per wall second.
 func BenchmarkEventRun(b *testing.B) {
 	modes := []struct {
 		name string
 		mode repro.EventMode
 	}{
 		{"off", repro.EventOff},
-		{"tick", repro.EventTick},
-		{"oracle", repro.EventOracle},
 		{"jump", repro.EventJump},
 	}
 	const durSec = 300

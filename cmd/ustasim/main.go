@@ -53,7 +53,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "simulation worker pool width (0 = GOMAXPROCS); results are identical at any width")
 		shards     = flag.Int("shards", 0, "run the scenario across this many worker processes (0 = in-process); results are identical either way")
 		hosts      = flag.String("hosts", "", "comma-separated worker hosts to dispatch the scenario to: ustaworker -listen addresses, or exec:<path> to spawn a ustaworker (overrides -shards); results are identical either way")
-		event      = flag.String("event", "off", "scenario stepping engine: off|tick|oracle|jump (tick is byte-identical to off; jump replays scheduling exactly with held-input thermal tolerance)")
+		event      = flag.String("event", "off", "scenario stepping engine: off|jump (off is the fixed 50 ms tick reference; jump folds held-input segments, replays scheduling exactly and holds thermal within the held-input tolerance)")
 		fallbk     = flag.Bool("local-fallback", false, "with -hosts: when every host stays down past the coordinator's recovery deadline, finish the remaining jobs in-process instead of failing them")
 		statsJSON  = flag.String("stats-json", "", "with -hosts or -shards: write the coordinator's end-of-run RunnerStats snapshot (redials, hedges, breaker states) to this JSON file")
 		walPath    = flag.String("wal", "", "journal the scenario sweep to this write-ahead log; a killed run can continue with -resume, re-running only unfinished cells")

@@ -25,7 +25,7 @@ import (
 // and streams are identical under every combination.
 // localFallback lets a hosts run finish on the in-process pool when every
 // host stays down past the coordinator's recovery deadline. event selects
-// the stepping engine (off|tick|oracle|jump; see repro.EventMode). walPath
+// the stepping engine (off|jump; see repro.EventMode). walPath
 // journals the sweep to a write-ahead log and resume continues one that
 // was killed partway, re-running only unfinished cells — outputs stay
 // byte-identical to an uninterrupted run. Coordinator

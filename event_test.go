@@ -93,34 +93,9 @@ func requireRunsIdentical(t *testing.T, label string, got, want []repro.JobResul
 	}
 }
 
-// TestEventTickMatchesOffTable1 is the event plumbing's acceptance pin:
-// EventTick routes the whole Table 1 grid — USTA controllers included —
-// through the event engine with every tick canonical, and must be
-// byte-identical to the plain loop on the local and sharded runners,
-// traced and trace-free.
-func TestEventTickMatchesOffTable1(t *testing.T) {
-	for _, traceFree := range []bool{false, true} {
-		mode := "traced"
-		if traceFree {
-			mode = "trace-free"
-		}
-		ref, refSink := eventExec(t, "off "+mode, traceFree, repro.ScenarioWorkers(1))
-
-		got, gotSink := eventExec(t, "tick local "+mode, traceFree,
-			repro.ScenarioWorkers(runtime.GOMAXPROCS(0)), repro.ScenarioEventMode(repro.EventTick))
-		requireRunsIdentical(t, "tick local "+mode, got, ref, gotSink, refSink)
-
-		if !traceFree {
-			got, gotSink = eventExec(t, "tick sharded", traceFree,
-				repro.ScenarioEventMode(repro.EventTick), repro.ScenarioShards(2))
-			requireRunsIdentical(t, "tick sharded", got, ref, gotSink, refSink)
-		}
-	}
-}
-
 // TestEventJumpRunnerInvariance pins the jump engine's determinism
-// contract: the mode changes the numbers relative to the tick oracle
-// (held-input discretization), but those numbers must not depend on the
+// contract: the mode changes the numbers relative to the fixed-tick
+// reference (held-input discretization), but those numbers must not depend on the
 // runner shape or parallelism — local at 1 worker, local at GOMAXPROCS
 // and sharded all byte-identical.
 func TestEventJumpRunnerInvariance(t *testing.T) {

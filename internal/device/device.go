@@ -352,29 +352,32 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // between simulation steps, so cancellation or a deadline stops the run
 // within one StepSec of simulated progress. On early stop it returns the
 // partial result aggregated over the steps that did execute, together with
-// the context's error. The loop body lives in StepRun — the same ticks the
-// event engine runs canonically. A nil workload is an error, not a panic.
+// the context's error. The loop body is stepRun.tick — the same tick
+// protocol the jump engine's full and close-out ticks run. A nil workload
+// is an error, not a panic.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
 	if isNilWorkload(w) {
 		return nil, ErrNilWorkload
 	}
-	r := p.StartRun(w, dur)
-	for r.Done() < r.Steps() {
+	r := p.startRun(w, dur)
+	for r.done < r.steps {
 		if err := ctx.Err(); err != nil {
-			return r.Finish(err)
+			return r.finish(err)
 		}
-		r.PreStep()
-		p.net.Step(r.dt)
-		r.PostStep()
+		r.tick()
 	}
-	return r.Finish(nil)
+	return r.finish(nil)
 }
 
 // stepPre runs everything that precedes the tick's thermal integration:
 // workload demand → utilization, power computation and injection, battery
 // thermals, and hand-contact switching. It returns the workload's CPU
-// demand in aggregate core-MHz.
-func (p *Phone) stepPre(sample workload.Sample, dt float64) (demandMHz float64) {
+// demand in aggregate core-MHz and the electrical load the battery
+// supplies. held is the jump engine's segment freeze: the battery heat is
+// peeked at the current state of charge instead of drained over dt (the
+// engine drains once per segment, when its length is known); the engine
+// never holds a charging tick.
+func (p *Phone) stepPre(sample workload.Sample, dt float64, held bool) (demandMHz, loadW float64) {
 	// 1. Demand → utilization at the current operating point.
 	demand := sample.CPUFrac * p.cpu.MaxCapacityMHz()
 	capacity := p.cpu.CapacityMHz()
@@ -397,16 +400,20 @@ func (p *Phone) stepPre(sample workload.Sample, dt float64) (demandMHz float64) 
 	gpuPower := p.cpu.GPUPower(sample.GPULoad)
 	auxPower := sample.AuxWatts
 	displayPower := sample.Display * p.cfg.DisplayMaxWatts
+	load := cpuPower + gpuPower + auxPower + displayPower
 
 	var batteryHeat float64
-	if sample.ChargeWatts > 0 {
+	switch {
+	case sample.ChargeWatts > 0:
 		heat, _ := p.pack.Charge(dt)
 		// The workload's ChargeWatts acts as a charger-duty scale relative
 		// to the pack's nominal CC heat, so profiles can model slow/fast
 		// chargers without knowing pack internals.
 		batteryHeat = heat * sample.ChargeWatts / 0.9
-	} else {
-		batteryHeat = p.pack.Discharge(cpuPower+gpuPower+auxPower+displayPower, dt)
+	case held:
+		batteryHeat = p.pack.DischargeHeat(load)
+	default:
+		batteryHeat = p.pack.Discharge(load, dt)
 	}
 
 	p.net.SetPower(p.nodes.Die, cpuPower)
@@ -423,22 +430,26 @@ func (p *Phone) stepPre(sample workload.Sample, dt float64) (demandMHz float64) 
 		p.touching = sample.Touch
 		thermal.ApplyTouch(p.net, p.nodes, p.cfg.Thermal, p.touching)
 	}
-	return demand
+	return demand, load
 }
 
-// stepPost runs everything that follows the tick's thermal integration
-// (step 4, owned by the caller): the simulation clock, sensors and
-// logging, the governor sampling window, and the thermal controller.
-func (p *Phone) stepPost(dt float64) {
-	p.timeSec += dt
-
-	// 5. Sensors + logging. The lag filters advance every tick; the ADC
-	// conversion (noise + quantization) happens inside the logger, once per
-	// log line.
+// advanceSensors moves the four sensor lag filters one tick toward their
+// nodes' temperatures (step 5a; the ADC conversion happens in the logger).
+func (p *Phone) advanceSensors(dt float64) {
 	p.cpuSensor.Advance(p.net.Temp(p.nodes.Die), dt)
 	p.batSensor.Advance(p.net.Temp(p.nodes.Battery), dt)
 	p.skinTherm.Advance(p.net.Temp(p.nodes.CoverMid), dt)
 	p.screenTherm.Advance(p.net.Temp(p.nodes.Screen), dt)
+}
+
+// stepPost runs everything that follows the tick's physics (thermal
+// integration and sensor lags, owned by the caller): the simulation clock,
+// logging, the governor sampling window, and the thermal controller.
+func (p *Phone) stepPost(dt float64) {
+	p.timeSec += dt
+
+	// 5b. Logging: the ADC conversion (noise + quantization) samples the
+	// lagged sensors once per log line.
 	p.logger.Observe(p.timeSec, p.utilNow, p.cpu.FreqMHz(), p.cpuSensor, p.batSensor, p.skinTherm, p.screenTherm)
 
 	// 6. Governor sampling window.

@@ -57,7 +57,7 @@ func TestRunNilWorkloadErrors(t *testing.T) {
 		if res, err := p.RunContext(context.Background(), tc.w, 0); !errors.Is(err, ErrNilWorkload) || res != nil {
 			t.Fatalf("RunContext(%s) = %v, %v; want nil, ErrNilWorkload", tc.name, res, err)
 		}
-		for _, mode := range []EventMode{EventOff, EventTick, EventOracle, EventJump} {
+		for _, mode := range []EventMode{EventOff, EventJump} {
 			if res, err := p.RunEventContext(context.Background(), tc.w, 0, mode); !errors.Is(err, ErrNilWorkload) || res != nil {
 				t.Fatalf("RunEventContext(%s, %v) = %v, %v; want nil, ErrNilWorkload", tc.name, mode, res, err)
 			}

@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/governor"
@@ -11,72 +12,70 @@ import (
 
 // EventMode selects the stepping engine for a run.
 //
-// The fixed-tick oracle recomputes every input every 50 ms even though the
+// The fixed-tick loop recomputes every input every 50 ms even though the
 // workload sample — the only *external* input — is piecewise-constant
-// between events (phase boundaries, burst edges, jitter slots, touch
-// flips). The event modes exploit that: a run is cut into segments at
-// every point where an input may change or an observation must happen
-// (logger emission, trace record, controller epoch), the segment's inputs
-// are frozen, and the per-tick *scheduling* arithmetic (utilization,
-// governor windows and fires, aggregate sums) is replayed exactly while
-// the *physics* (thermal network + sensor lags) advances under the frozen
-// drive — sequentially in EventOracle, in O(log ticks) matrix jumps in
-// EventJump.
+// between its changes (phase boundaries, burst edges, jitter slots, touch
+// flips). EventJump exploits that: asking the workload for its next change
+// (workload.NextChangeOf), it cuts a run into segments at every point where
+// an input may change or an observation must happen (logger emission,
+// trace record, controller epoch), freezes the segment's inputs, replays
+// the per-tick *scheduling* arithmetic (utilization, governor windows and
+// fires, aggregate sums) exactly, and advances the *physics* (thermal
+// network + sensor lags) under the frozen drive in O(log ticks) matrix
+// jumps.
 //
-// What is exact and what is approximate, precisely:
+// The contracts, exactly:
 //
-//   - EventTick runs the event machinery but takes every tick canonically;
-//     it is byte-identical to the plain tick loop (EventOff) and exists to
-//     pin exactly that in CI.
-//   - EventOracle and EventJump hold each segment's power/battery inputs
-//     at segment-start values (a zero-order hold at event resolution,
-//     instead of tick resolution). Frequency, utilization, governor-level
-//     trajectories, work aggregates and record Util/FreqMHz averages are
-//     replayed bit-exactly for governor-driven runs; thermal-plane values
-//     (temperatures, energy, state of charge, sensor readings) differ
-//     from the tick oracle only by the held-input discretization, which
-//     the differential suite bounds to millikelvins on the paper's
-//     workloads. A controller that *reads* thermal observations (USTA)
-//     can therefore occasionally clamp one decision differently; runs
-//     without a controller stay exact on the whole scheduling plane.
-//   - EventJump vs EventOracle differ only by floating-point summation
-//     order in the physics (≈1e-9 °C); everything else is identical.
+//   - EventOff is the reference.
+//   - EventJump holds each segment's power and battery inputs at their
+//     segment-start values (a zero-order hold at event resolution instead
+//     of tick resolution; leakage is exponential in die temperature, so the
+//     hold is an approximation). Frequency, utilization, governor-level
+//     trajectories, work aggregates and record timing/Util/FreqMHz are
+//     bit-identical to EventOff for runs whose controller does not read
+//     thermal observations. Thermal-plane values (temperatures, energy,
+//     state of charge, sensor readings) differ from EventOff by the
+//     held-input discretization: within 0.05 °C and 2e-3 relative on the
+//     device differential corpus, and within 0.25 °C / 5 % on the Table 1
+//     grid, where USTA reads thermal observations and can occasionally
+//     clamp one decision differently.
+//   - The ladder jump itself is exact up to floating-point summation order:
+//     against the same segmentation advanced tick by tick (seqPhysics) it
+//     stays within 1e-6 °C and 1e-9 relative.
+//   - A workload without a next-change query, or a device running the
+//     hotplug policy (whose online-core changes invalidate held capacity),
+//     runs on the EventOff loop and is byte-identical to it.
 //
 // Ticks where draws, emissions or decisions happen — logger emissions,
 // trace records, controller epochs — close their segment: the physics
-// jump lands exactly on them and their emission/decision arithmetic is
-// replayed from the jumped state in the oracle's order, so every
-// sensor-noise draw happens at exactly the tick the oracle draws it and
-// the noise streams never desynchronize. A close-out may be a segment of
-// one tick (a level change landing just before an emission); only the
-// run's first tick and charging ticks stay fully canonical.
+// jump lands exactly on them and they run the fixed-tick loop's closeTick
+// from the jumped state, so every sensor-noise draw happens at exactly the
+// tick EventOff draws it and the noise streams never desynchronize. A
+// close-out may be a segment of one tick (a level change landing just
+// before an emission); only the run's first tick and charging ticks run
+// the full fixed tick.
 type EventMode int
 
 const (
-	// EventOff is the plain fixed-tick loop (no event machinery).
-	EventOff EventMode = iota
-	// EventTick drives the event engine with every tick canonical:
-	// byte-identical to EventOff, the CI pin for the event plumbing.
-	EventTick
-	// EventOracle folds held-input segments but advances the physics
-	// tick by tick: the differential midpoint between EventTick and
-	// EventJump.
-	EventOracle
+	// EventOff is the plain fixed-tick loop: the reference engine.
+	EventOff EventMode = 0
 	// EventJump folds held-input segments and advances the physics with
 	// power-of-two propagator-ladder jumps (thermal.Ladder): O(log gap)
-	// matrix applications per segment. The production event engine.
-	EventJump
+	// matrix applications per segment. Write-ahead logs journal the
+	// integer, and logs written under "-event jump" carry 3, so the value
+	// is fixed.
+	EventJump EventMode = 3
 )
+
+// ErrUnknownEventMode is returned by RunEventContext for any mode other
+// than EventOff and EventJump.
+var ErrUnknownEventMode = errors.New("device: unknown event mode")
 
 // String returns the CLI spelling of the mode.
 func (m EventMode) String() string {
 	switch m {
 	case EventOff:
 		return "off"
-	case EventTick:
-		return "tick"
-	case EventOracle:
-		return "oracle"
 	case EventJump:
 		return "jump"
 	}
@@ -88,30 +87,50 @@ func ParseEventMode(s string) (EventMode, error) {
 	switch s {
 	case "", "off":
 		return EventOff, nil
-	case "tick":
-		return EventTick, nil
-	case "oracle":
-		return EventOracle, nil
 	case "jump":
 		return EventJump, nil
 	}
-	return EventOff, fmt.Errorf("device: unknown event mode %q (want off|tick|oracle|jump)", s)
+	return EventOff, fmt.Errorf("device: unknown event mode %q (want off|jump)", s)
 }
 
-// EventRun drives a StepRun segment by segment instead of tick by tick.
-// Construct with NewEventRun (or Phone.StartEventRun) and call Segment
-// until Active reports false, then Finish.
-type EventRun struct {
-	r    *StepRun
-	mode EventMode
+// RunEventContext is RunContext on the selected stepping engine, with
+// segment-granular cancellation (a segment is at most one record period of
+// simulated time). EventOff, workloads without a next-change query and
+// hotplug devices run the plain tick loop. A nil workload is an error, not
+// a panic, and so is a mode other than EventOff and EventJump
+// (ErrUnknownEventMode).
+func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur float64, mode EventMode) (*RunResult, error) {
+	if isNilWorkload(w) {
+		return nil, ErrNilWorkload
+	}
+	switch mode {
+	case EventOff:
+		return p.RunContext(ctx, w, dur)
+	case EventJump:
+	default:
+		return nil, fmt.Errorf("%w: %v", ErrUnknownEventMode, mode)
+	}
+	boundary := workload.NextChangeOf(w)
+	if boundary == nil || p.hotplug != nil {
+		return p.RunContext(ctx, w, dur)
+	}
+	return p.newEventRun(w, dur, boundary).run(ctx)
+}
 
-	// boundary is the workload's next-change query; nil degrades the
-	// effective mode to EventTick (every tick canonical — correct for any
-	// workload, just without the speedup).
+// eventRun drives a stepRun segment by segment instead of tick by tick.
+type eventRun struct {
+	r *stepRun
+
+	// boundary is the workload's next-change query.
 	boundary func(float64) float64
 
+	// sequential advances every segment's physics tick by tick
+	// (seqPhysics) even when a ladder exists: the reference the device
+	// tests pin the ladder against.
+	sequential bool
+
 	// taps couple the four sensor lag filters to their thermal nodes for
-	// the jump ladder, in the exact order stepPost advances them.
+	// the jump ladder, in the exact order advanceSensors advances them.
 	taps   []thermal.Tap
 	states []float64
 	sc     thermal.LadderScratch
@@ -124,164 +143,94 @@ type EventRun struct {
 	lad    [2]*thermal.Ladder
 }
 
-// NewEventRun wraps an open StepRun in the event engine. w must be the
-// workload the run was started with (it supplies the boundary query).
-// Modes that fold segments degrade to EventTick when the workload has no
-// boundary query or the device runs the hotplug policy (whose online-core
-// changes invalidate held capacity).
-func NewEventRun(r *StepRun, w workload.Workload, mode EventMode) *EventRun {
-	e := &EventRun{r: r, mode: mode}
-	if mode >= EventOracle {
-		e.boundary = workload.NextChangeOf(w)
-		if e.boundary == nil || r.p.hotplug != nil {
-			e.mode = EventTick
-		}
+// newEventRun opens a run of w (startRun) on the jump engine; boundary is
+// w's next-change query.
+func (p *Phone) newEventRun(w workload.Workload, dur float64, boundary func(float64) float64) *eventRun {
+	r := p.startRun(w, dur)
+	e := &eventRun{r: r, boundary: boundary}
+	e.taps = []thermal.Tap{
+		{Node: p.nodes.Die, Alpha: p.cpuSensor.Alpha(r.dt)},
+		{Node: p.nodes.Battery, Alpha: p.batSensor.Alpha(r.dt)},
+		{Node: p.nodes.CoverMid, Alpha: p.skinTherm.Alpha(r.dt)},
+		{Node: p.nodes.Screen, Alpha: p.screenTherm.Alpha(r.dt)},
 	}
-	if e.mode >= EventOracle {
-		p := r.p
-		dt := r.dt
-		e.taps = []thermal.Tap{
-			{Node: p.nodes.Die, Alpha: p.cpuSensor.Alpha(dt)},
-			{Node: p.nodes.Battery, Alpha: p.batSensor.Alpha(dt)},
-			{Node: p.nodes.CoverMid, Alpha: p.skinTherm.Alpha(dt)},
-			{Node: p.nodes.Screen, Alpha: p.screenTherm.Alpha(dt)},
-		}
-		e.states = make([]float64, len(e.taps))
-	}
+	e.states = make([]float64, len(e.taps))
 	return e
 }
 
-// StartEventRun opens a tick-controlled run of w (StartRun) and wraps it
-// in the event engine.
-func (p *Phone) StartEventRun(w workload.Workload, dur float64, mode EventMode) *EventRun {
-	return NewEventRun(p.StartRun(w, dur), w, mode)
-}
-
-// Mode returns the effective mode (after any degradation to EventTick).
-func (e *EventRun) Mode() EventMode { return e.mode }
-
-// Active reports whether ticks remain.
-func (e *EventRun) Active() bool { return e.r.done < e.r.steps }
-
-// Finish closes the run (StepRun.Finish).
-func (e *EventRun) Finish(err error) (*RunResult, error) { return e.r.Finish(err) }
-
-// RunEventContext is RunContext on the event engine: segment-granular
-// cancellation (a segment is at most one record period of simulated time).
-// mode EventOff delegates to the plain tick loop. A nil workload is an
-// error, not a panic.
-func (p *Phone) RunEventContext(ctx context.Context, w workload.Workload, dur float64, mode EventMode) (*RunResult, error) {
-	if isNilWorkload(w) {
-		return nil, ErrNilWorkload
-	}
-	if mode == EventOff {
-		return p.RunContext(ctx, w, dur)
-	}
-	e := p.StartEventRun(w, dur, mode)
-	for e.Active() {
+// run advances segment by segment to the end of the run, checking ctx
+// between segments.
+func (e *eventRun) run(ctx context.Context) (*RunResult, error) {
+	r := e.r
+	for r.done < r.steps {
 		if err := ctx.Err(); err != nil {
-			return e.Finish(err)
+			return r.finish(err)
 		}
-		e.Segment()
+		e.segment()
 	}
-	return e.Finish(nil)
+	return r.finish(nil)
 }
 
-// canonicalTick advances exactly one oracle tick.
-func (e *EventRun) canonicalTick() {
+// segment advances the run by one unit: a full fixed tick for the run's
+// first tick and for charging ticks, otherwise one held-input segment of
+// up to a record period's worth of folded ticks, closed by the next
+// observing/deciding tick.
+func (e *eventRun) segment() {
 	r := e.r
-	r.PreStep()
-	r.p.net.Step(r.dt)
-	r.PostStep()
-}
-
-// Segment advances the run by one unit: a single canonical tick when the
-// mode demands it (EventTick, the run's first tick, charging), otherwise
-// one held-input segment of up to a record period's worth of folded
-// ticks, closed by the next observing/deciding tick.
-func (e *EventRun) Segment() {
-	r := e.r
-	if r.done >= r.steps {
+	p := r.p
+	// The first tick primes the sensor lags, opens the logger window and
+	// emits the initial record, exactly like the fixed-tick loop.
+	if r.done == 0 {
+		r.tick()
 		return
 	}
-	// The first tick is always canonical: it primes the sensor lags,
-	// opens the logger window and emits the initial record, exactly like
-	// the oracle.
-	if e.mode == EventTick || r.done == 0 {
-		e.canonicalTick()
+	sample := r.at(p.timeSec)
+	if sample.ChargeWatts > 0 {
+		// Charging mutates the pack's CC/CV state nonlinearly per tick;
+		// keep those ticks exact. Only the Charging workload has them, for
+		// a fraction of its duration.
+		r.tick()
 		return
 	}
-	e.runHeld()
+	e.runHeld(sample)
 }
 
-// runHeld folds one held-input segment: inputs frozen at segment start,
-// per-tick scheduling arithmetic replayed exactly, physics advanced under
-// the frozen drive at the end (sequentially in EventOracle, by ladder
-// jump in EventJump).
-func (e *EventRun) runHeld() {
+// runHeld folds one held-input segment starting with sample: inputs
+// frozen at segment start, per-tick scheduling arithmetic replayed
+// exactly, physics advanced under the frozen drive at the end.
+func (e *eventRun) runHeld(sample workload.Sample) {
 	r := e.r
 	p := r.p
 	res := r.res
 	dt := r.dt
-
-	sample := r.at(p.timeSec)
-	if sample.ChargeWatts > 0 {
-		// Charging mutates the pack's CC/CV state nonlinearly per tick;
-		// keep those ticks canonical (exact). Only the Charging workload
-		// has them, for a fraction of its duration.
-		e.canonicalTick()
-		return
-	}
 	nextChange := e.boundary(p.timeSec)
 
-	// Freeze the segment inputs — the same arithmetic as stepPre, with
-	// the battery heat peeked instead of drained (the drain happens once,
-	// below, when the segment length is known).
-	if sample.Touch != p.touching {
-		p.touching = sample.Touch
-		thermal.ApplyTouch(p.net, p.nodes, p.cfg.Thermal, p.touching)
-	}
-	demand := sample.CPUFrac * p.cpu.MaxCapacityMHz()
-	capacity := p.cpu.CapacityMHz()
-	util := 0.0
-	if capacity > 0 {
-		util = demand / capacity
-	}
-	if util > 1 {
-		util = 1
-	}
-	p.utilNow = util
+	// Freeze the segment inputs: stepPre with the battery heat peeked
+	// instead of drained (the drain happens once, below, when the segment
+	// length is known).
+	demand, load := p.stepPre(sample, dt, true)
+	util := p.utilNow
 	r.demand = demand
-
-	dieT := p.net.Temp(p.nodes.Die)
-	cpuPower := p.cpu.Power(util, dieT)
-	gpuPower := p.cpu.GPUPower(sample.GPULoad)
-	auxPower := sample.AuxWatts
-	displayPower := sample.Display * p.cfg.DisplayMaxWatts
-	load := cpuPower + gpuPower + auxPower + displayPower
-	batteryHeat := p.pack.DischargeHeat(load)
-	powerNow := cpuPower + gpuPower + auxPower + batteryHeat + displayPower
 
 	// Fold ticks while the frozen inputs stay truthful: stop at the
 	// workload's next change, at a governor level change, or at the run's
 	// end. An observing/deciding tick (logger emission, trace record,
 	// controller epoch) that is still covered by the frozen inputs does
 	// not end the fold — it becomes the segment's close-out tick: the
-	// physics jump lands exactly on it and its emission arithmetic is
-	// replayed from the jumped state below. The loop body replays
-	// stepPost's scheduling arithmetic (logger accumulation BEFORE the
-	// governor block, aggregate frequency AFTER it — PostStep's order)
-	// add for add, so every accumulator sees the identical float sequence
-	// the oracle would produce.
+	// physics jump lands exactly on it and it runs closeTick from the
+	// jumped state below. The loop body replays closeTick's scheduling
+	// arithmetic (logger accumulation BEFORE the governor block, aggregate
+	// frequency AFTER it) add for add, so every accumulator sees the
+	// identical float sequence the fixed-tick loop would produce.
 	// Per-tick constants and accumulators hoisted to locals: the governor
 	// interface call inside the loop could alias anything as far as the
 	// compiler knows, so field-resident accumulators would be reloaded
-	// and re-stored every tick. The products powerNow·dt and demand·dt
+	// and re-stored every tick. The products powerNowW·dt and demand·dt
 	// are bitwise the same every tick, so computing them once preserves
-	// the oracle's exact add sequence.
+	// the exact add sequence.
 	level := p.cpu.Level()
 	maxSteps := r.steps - r.done
-	powerDt := powerNow * dt
+	powerDt := p.powerNowW * dt
 	demandDt := demand * dt
 	govPeriod := p.cfg.GovernorPeriodSec
 	recPeriod := p.cfg.RecordPeriodSec
@@ -301,7 +250,7 @@ func (e *EventRun) runHeld() {
 	energy := res.EnergyJ
 	workDem := res.WorkDemanded
 	workDone := res.WorkDone
-	k := 0
+	k := 0 // folded ticks, scheduling replayed below
 	closeOut := false
 	for {
 		if k > 0 {
@@ -314,13 +263,11 @@ func (e *EventRun) runHeld() {
 			(hasCtrl && t1-lastCtrl+1e-9 >= ctrlPeriod) {
 			// The tick is within the frozen inputs' validity (checked
 			// above for k > 0; at k == 0 the freeze just happened), so it
-			// joins the physics jump; its scheduling/emission replay runs
-			// post-jump, because emission samples the sensors at the
-			// jumped state. A segment can therefore be a single close-out
-			// tick — e.g. when a governor level change lands right before
-			// an emission.
+			// joins the physics jump; its closeTick runs post-jump,
+			// because emission samples the sensors at the jumped state. A
+			// segment can therefore be a single close-out tick — e.g.
+			// when a governor level change lands right before an emission.
 			closeOut = true
-			k++
 			break
 		}
 		timeSec += dt
@@ -359,147 +306,72 @@ func (e *EventRun) runHeld() {
 	res.EnergyJ = energy
 	res.WorkDemanded = workDem
 	res.WorkDone = workDone
-
-	// One held-model drain for the whole segment: the heat rate matches
-	// the peek above (same load, same segment-start SoC), so powerNow was
-	// consistent with the drain.
-	p.pack.Discharge(load, float64(k)*dt)
-
-	p.net.SetPower(p.nodes.Die, cpuPower)
-	p.net.SetPower(p.nodes.Pkg, gpuPower)
-	p.net.SetPower(p.nodes.PCB, auxPower)
-	p.net.SetPower(p.nodes.Battery, batteryHeat)
-	p.net.SetPower(p.nodes.Screen, displayPower)
-	p.powerNowW = powerNow
-
-	if e.mode == EventJump {
-		if l := e.ladderFor(dt); l != nil {
-			e.states[0] = p.cpuSensor.LagState()
-			e.states[1] = p.batSensor.LagState()
-			e.states[2] = p.skinTherm.LagState()
-			e.states[3] = p.screenTherm.LagState()
-			l.AdvanceComposite(p.net, e.states, k, &e.sc)
-			p.cpuSensor.SetLagState(e.states[0])
-			p.batSensor.SetLagState(e.states[1])
-			p.skinTherm.SetLagState(e.states[2])
-			p.screenTherm.SetLagState(e.states[3])
-		} else {
-			e.seqPhysics(k)
-		}
-	} else {
-		e.seqPhysics(k)
-	}
-
-	// Close-out tick: replay the observing/deciding tick's scheduling and
-	// emission arithmetic from the jumped state, in stepPost/PostStep's
-	// order — logger accumulation and emission (the noise draws happen
-	// here, at exactly the tick the oracle draws them), governor window,
-	// controller epoch, then the post-decision frequency into the
-	// aggregates and the trace record.
-	var freqOut float64
-	if closeOut {
-		p.timeSec += dt
-		p.logger.ObserveHeld(p.timeSec, util, p.cpu.FreqMHz())
-		p.logger.EmitHeld(p.timeSec, p.cpuSensor, p.batSensor, p.skinTherm, p.screenTherm)
-		p.govWinUtil += util
-		p.govWinSamples++
-		if p.timeSec-p.lastGovSec+1e-9 >= p.cfg.GovernorPeriodSec {
-			avg := p.govWinUtil / float64(p.govWinSamples)
-			lvl := p.gov.NextLevel(governor.State{
-				TimeSec:      p.timeSec,
-				Util:         avg,
-				CurrentLevel: p.cpu.Level(),
-			})
-			p.cpu.SetLevel(lvl)
-			p.govWinUtil, p.govWinSamples = 0, 0
-			p.lastGovSec = p.timeSec
-		}
-		if p.ctrl != nil && p.timeSec-p.lastCtrlSec+1e-9 >= p.ctrl.PeriodSec() {
-			p.ctrl.Act(p)
-			p.lastCtrlSec = p.timeSec
-		}
-		freqOut = p.cpu.FreqMHz()
-		r.freqSum += freqOut
-		r.utilSum += util
-		res.EnergyJ += powerNow * dt
-		capNow := p.cpu.CapacityMHz()
-		res.WorkDemanded += demand * dt
-		served := demand
-		if capNow < served {
-			served = capNow
-		}
-		res.WorkDone += served * dt
-	}
-
-	// Peak tracking from the segment-end state. Between two records the
-	// oracle checks every tick; under monotone intra-segment transients
-	// (the common case — segments are sub-second) the end state is the
-	// extremum, and the record ticks closing each segment replay the
-	// oracle's record arithmetic either way. The differential suite bounds
-	// the residual.
-	skin := p.net.Temp(p.nodes.CoverMid)
-	screen := p.net.Temp(p.nodes.Screen)
-	die := p.net.Temp(p.nodes.Die)
-	bat := p.net.Temp(p.nodes.Battery)
-	if skin > res.MaxSkinC {
-		res.MaxSkinC = skin
-	}
-	if screen > res.MaxScreenC {
-		res.MaxScreenC = screen
-	}
-	if die > res.MaxDieC {
-		res.MaxDieC = die
-	}
-	if bat > res.MaxBatteryC {
-		res.MaxBatteryC = bat
-	}
-
-	// Trace record + telemetry observer at the close-out tick, exactly
-	// PostStep's record block.
-	if closeOut && p.timeSec-r.lastRecord+1e-9 >= p.cfg.RecordPeriodSec {
-		if res.Trace != nil {
-			res.Trace.Append(p.timeSec,
-				skin, screen, die, bat,
-				freqOut, p.utilNow, float64(p.cpu.MaxLevel()),
-			)
-		}
-		r.lastRecord = p.timeSec
-		if p.observer != nil {
-			p.observer(Sample{
-				TimeSec:  p.timeSec,
-				SkinC:    skin,
-				ScreenC:  screen,
-				DieC:     die,
-				BatteryC: bat,
-				FreqMHz:  freqOut,
-				Util:     p.utilNow,
-				MaxLevel: p.cpu.MaxLevel(),
-			})
-		}
-	}
 	r.done += k
+
+	// Physics for every tick of the segment, the close-out included. One
+	// held-model drain for the whole segment: the heat rate matches the
+	// peek above (same load, same segment-start SoC), so the injected
+	// battery heat was consistent with the drain.
+	n := k
+	if closeOut {
+		n++
+	}
+	p.pack.Discharge(load, float64(n)*dt)
+	e.physics(n)
+
+	// The close-out tick finishes as a fixed tick. Otherwise only the
+	// peaks see the segment-end state: between two records the fixed-tick
+	// loop checks every tick, but under monotone intra-segment transients
+	// (the common case — segments are sub-second) the end state is the
+	// extremum, and the record ticks closing each segment run closeTick
+	// either way. The differential suite bounds the residual.
+	if closeOut {
+		r.closeTick()
+	} else {
+		r.trackPeaks()
+	}
+}
+
+// physics advances the network and the sensor lags k ticks under the
+// already-injected frozen drive: one composite ladder jump, or seqPhysics
+// when no ladder is available (RK4-forced networks) or the run is the
+// sequential reference.
+func (e *eventRun) physics(k int) {
+	p := e.r.p
+	var l *thermal.Ladder
+	if !e.sequential {
+		l = e.ladderFor(e.r.dt)
+	}
+	if l == nil {
+		e.seqPhysics(k)
+		return
+	}
+	e.states[0] = p.cpuSensor.LagState()
+	e.states[1] = p.batSensor.LagState()
+	e.states[2] = p.skinTherm.LagState()
+	e.states[3] = p.screenTherm.LagState()
+	l.AdvanceComposite(p.net, e.states, k, &e.sc)
+	p.cpuSensor.SetLagState(e.states[0])
+	p.batSensor.SetLagState(e.states[1])
+	p.skinTherm.SetLagState(e.states[2])
+	p.screenTherm.SetLagState(e.states[3])
 }
 
 // seqPhysics advances the physics k ticks under the already-injected
-// frozen drive: the per-tick propagator step plus the sensor lag
-// recurrence, exactly the oracle's physics path with held inputs
-// (EventOracle, and EventJump's fallback when no ladder is available —
-// e.g. RK4-forced networks).
-func (e *EventRun) seqPhysics(k int) {
+// frozen drive: the fixed-tick loop's propagator step plus sensor lag
+// recurrence, with held inputs.
+func (e *eventRun) seqPhysics(k int) {
 	p := e.r.p
 	dt := e.r.dt
 	for i := 0; i < k; i++ {
 		p.net.Step(dt)
-		p.cpuSensor.Advance(p.net.Temp(p.nodes.Die), dt)
-		p.batSensor.Advance(p.net.Temp(p.nodes.Battery), dt)
-		p.skinTherm.Advance(p.net.Temp(p.nodes.CoverMid), dt)
-		p.screenTherm.Advance(p.net.Temp(p.nodes.Screen), dt)
+		p.advanceSensors(dt)
 	}
 }
 
 // ladderFor returns the jump ladder for the network's current
 // configuration through the run's two-slot memo (touching / not).
-func (e *EventRun) ladderFor(dt float64) *thermal.Ladder {
+func (e *eventRun) ladderFor(dt float64) *thermal.Ladder {
 	sig := e.r.p.net.Fingerprint()
 	if e.lad[0] != nil && e.ladSig[0] == sig {
 		return e.lad[0]

@@ -2,6 +2,7 @@ package device
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -45,6 +46,20 @@ func runEvent(t *testing.T, cfg Config, w workload.Workload, dur float64, ctrl C
 	res, err := p.RunEventContext(context.Background(), w, dur, mode)
 	if err != nil {
 		t.Fatalf("event run (%v): %v", mode, err)
+	}
+	return res
+}
+
+// runSequential runs the jump engine's held-input segmentation with every
+// segment's physics advanced tick by tick (seqPhysics): the reference the
+// ladder is pinned against. Callers may configure p (e.g. force RK4).
+func runSequential(t *testing.T, p *Phone, w workload.Workload, dur float64) *RunResult {
+	t.Helper()
+	e := p.newEventRun(w, dur, workload.NextChangeOf(w))
+	e.sequential = true
+	res, err := e.run(context.Background())
+	if err != nil {
+		t.Fatalf("sequential event run: %v", err)
 	}
 	return res
 }
@@ -206,18 +221,6 @@ func requireThermalClose(t *testing.T, label string, want, got *RunResult, tempT
 	}
 }
 
-// TestEventTickByteIdentical pins the event plumbing itself: EventTick
-// routes every tick through the canonical path and must be byte-identical
-// to the plain loop on every workload, including charging and touch.
-func TestEventTickByteIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	for name, w := range eventDiffWorkloads() {
-		oracle := runOracle(t, cfg, w, 0, nil)
-		tick := runEvent(t, cfg, w, 0, nil, EventTick)
-		requireIdentical(t, name+"/tick", oracle, tick)
-	}
-}
-
 // TestEventJumpSchedulingExactThermalClose is the headline differential:
 // EventJump must replay the scheduling plane bit for bit (governor-driven
 // runs read only utilization) while the thermal plane stays within the
@@ -232,13 +235,14 @@ func TestEventJumpSchedulingExactThermalClose(t *testing.T) {
 	}
 }
 
-// TestEventJumpMatchesEventOracle pins the ladder against the decomposed
-// per-tick oracle: identical held-input segmentation, so the only
-// difference is floating-point summation order inside the physics.
+// TestEventJumpMatchesEventOracle pins the ladder against the sequential
+// reference: identical held-input segmentation with the physics advanced
+// tick by tick, so the only difference is floating-point summation order
+// inside the physics.
 func TestEventJumpMatchesEventOracle(t *testing.T) {
 	cfg := DefaultConfig()
 	for name, w := range eventDiffWorkloads() {
-		oracle := runEvent(t, cfg, w, 0, nil, EventOracle)
+		oracle := runSequential(t, MustNew(cfg, nil), w, 0)
 		jump := runEvent(t, cfg, w, 0, nil, EventJump)
 		requireSchedulingIdentical(t, name+"/jump-vs-oracle", oracle, jump)
 		requireThermalClose(t, name+"/jump-vs-oracle", oracle, jump, 1e-6, 1e-9)
@@ -246,14 +250,12 @@ func TestEventJumpMatchesEventOracle(t *testing.T) {
 }
 
 // TestEventControllerEpochsCanonical pins controller handling: epochs are
-// canonical ticks, so a deterministic (non-thermal-reading) controller
-// fires at exactly the oracle's times with exactly the oracle's effect.
+// close-out ticks, so a deterministic (non-thermal-reading) controller
+// fires at exactly the fixed-tick loop's times with exactly its effect.
 func TestEventControllerEpochsCanonical(t *testing.T) {
 	cfg := DefaultConfig()
 	w := workload.Skype(7)
 	oracle := runOracle(t, cfg, w, 240, &clampController{level: 2})
-	tick := runEvent(t, cfg, w, 240, &clampController{level: 2}, EventTick)
-	requireIdentical(t, "ctrl/tick", oracle, tick)
 	jump := runEvent(t, cfg, w, 240, &clampController{level: 2}, EventJump)
 	requireSchedulingIdentical(t, "ctrl/jump", oracle, jump)
 	requireThermalClose(t, "ctrl/jump", oracle, jump, 0.05, 2e-3)
@@ -262,45 +264,26 @@ func TestEventControllerEpochsCanonical(t *testing.T) {
 	}
 }
 
-// TestEventHotplugFallsBackToTick pins the degradation rule: hotplugged
-// devices cannot hold capacity across a segment, so folding modes degrade
-// to EventTick and stay byte-identical.
+// TestEventHotplugFallsBackToTick pins the fallback rule: hotplugged
+// devices cannot hold capacity across a segment, so EventJump runs the
+// fixed-tick loop and is byte-identical to EventOff.
 func TestEventHotplugFallsBackToTick(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.EnableHotplug = true
 	w := workload.SquareWave(1, 20, 0.5, 0.9, 0.05, 240)
-	p := MustNew(cfg, nil)
-	e := p.StartEventRun(w, 0, EventJump)
-	if e.Mode() != EventTick {
-		t.Fatalf("hotplug event mode = %v, want EventTick", e.Mode())
-	}
-	for e.Active() {
-		e.Segment()
-	}
-	got, err := e.Finish(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runEvent(t, cfg, w, 0, nil, EventJump)
 	oracle := runOracle(t, cfg, w, 0, nil)
 	requireIdentical(t, "hotplug", oracle, got)
 }
 
-// TestEventOpaqueWorkloadFallsBackToTick pins the other degradation rule:
-// a workload without a boundary query cannot be folded.
+// TestEventOpaqueWorkloadFallsBackToTick pins the other fallback rule: a
+// workload without a next-change query cannot be folded.
 func TestEventOpaqueWorkloadFallsBackToTick(t *testing.T) {
 	w := opaqueWorkload{}
-	p := MustNew(DefaultConfig(), nil)
-	e := p.StartEventRun(w, 60, EventJump)
-	if e.Mode() != EventTick {
-		t.Fatalf("opaque workload event mode = %v, want EventTick", e.Mode())
+	if workload.NextChangeOf(w) != nil {
+		t.Fatal("opaqueWorkload grew a next-change query")
 	}
-	for e.Active() {
-		e.Segment()
-	}
-	got, err := e.Finish(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runEvent(t, DefaultConfig(), w, 60, nil, EventJump)
 	oracle := runOracle(t, DefaultConfig(), w, 60, nil)
 	requireIdentical(t, "opaque", oracle, got)
 }
@@ -316,21 +299,20 @@ func (opaqueWorkload) At(t float64) workload.Sample {
 // TestEventRK4FallbackHeldParity pins the ladder-unavailable path: with
 // the network forced to RK4, LadderFor returns nil and EventJump's
 // physics degrades to the sequential held-input path — byte-identical to
-// EventOracle under the same forcing.
+// the sequential reference under the same forcing.
 func TestEventRK4FallbackHeldParity(t *testing.T) {
 	cfg := DefaultConfig()
 	w := workload.Skype(7)
-	mk := func(mode EventMode) *RunResult {
+	rk4 := func() *Phone {
 		p := MustNew(cfg, nil)
 		p.net.UseRK4(true)
-		res, err := p.RunEventContext(context.Background(), w, 180, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return p
 	}
-	oracle := mk(EventOracle)
-	jump := mk(EventJump)
+	oracle := runSequential(t, rk4(), w, 180)
+	jump, err := rk4().RunEventContext(context.Background(), w, 180, EventJump)
+	if err != nil {
+		t.Fatal(err)
+	}
 	requireIdentical(t, "rk4-fallback", oracle, jump)
 }
 
@@ -377,8 +359,8 @@ func TestEventRunCancellation(t *testing.T) {
 
 // TestEventCounterNoiseVersion pins the versioned noise plumbing at the
 // device level: NoiseVersionCounter changes the draws (different records)
-// but the event engine stays exact against its own oracle, and the
-// default zero value keeps the legacy stream.
+// but the jump engine stays exact against its sequential reference, and
+// the default zero value keeps the legacy stream.
 func TestEventCounterNoiseVersion(t *testing.T) {
 	legacy := DefaultConfig()
 	counter := DefaultConfig()
@@ -400,10 +382,43 @@ func TestEventCounterNoiseVersion(t *testing.T) {
 	if same {
 		t.Fatal("counter noise stream produced the legacy draw sequence")
 	}
-	// The event engine is stream-agnostic: byte-identical under EventTick
-	// for the counter stream too.
-	tick := runEvent(t, counter, w, 120, nil, EventTick)
-	requireIdentical(t, "counter/tick", ct, tick)
+	// The jump engine is stream-agnostic: the same draws at the same ticks
+	// as its sequential reference for the counter stream too.
+	seq := runSequential(t, MustNew(counter, nil), w, 120)
+	jump := runEvent(t, counter, w, 120, nil, EventJump)
+	requireSchedulingIdentical(t, "counter/jump", seq, jump)
+	requireThermalClose(t, "counter/jump", seq, jump, 1e-6, 1e-9)
 }
 
 var _ = math.MaxFloat64
+
+// TestRunEventContextRejectsUnknownModes pins that a mode other than off
+// and jump — 1 and 2 included — is an error, not a panic or a silent
+// fallback to another engine.
+func TestRunEventContextRejectsUnknownModes(t *testing.T) {
+	for _, mode := range []EventMode{-1, 1, 2, 7} {
+		p := MustNew(DefaultConfig(), nil)
+		res, err := p.RunEventContext(context.Background(), workload.Skype(7), 10, mode)
+		if !errors.Is(err, ErrUnknownEventMode) || res != nil {
+			t.Errorf("RunEventContext(mode %d) = %v, %v; want nil, ErrUnknownEventMode", int(mode), res, err)
+		}
+	}
+}
+
+// TestParseEventMode pins the CLI spellings: off and jump parse, nothing
+// else does.
+func TestParseEventMode(t *testing.T) {
+	for s, want := range map[string]EventMode{"": EventOff, "off": EventOff, "jump": EventJump} {
+		if got, err := ParseEventMode(s); err != nil || got != want {
+			t.Errorf("ParseEventMode(%q) = %v, %v; want %v", s, got, err, want)
+		}
+		if s != "" && want.String() != s {
+			t.Errorf("%v.String() = %q, want %q", want, want.String(), s)
+		}
+	}
+	for _, s := range []string{"tick", "oracle", "JUMP", "on"} {
+		if _, err := ParseEventMode(s); err == nil {
+			t.Errorf("ParseEventMode(%q) accepted a retired or unknown engine", s)
+		}
+	}
+}

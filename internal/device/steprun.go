@@ -7,16 +7,13 @@ import (
 	"repro/internal/workload"
 )
 
-// StepRun is one workload execution under tick-by-tick control: the run
+// stepRun is one workload execution under tick-by-tick control: the run
 // state and per-tick aggregation shared by both stepping engines. The
-// fixed-tick loop (RunContext) drives every tick through it, and the event
-// engine (EventRun) drives its canonical ticks through the same PreStep /
-// PostStep pair, so the two engines' observing ticks cannot drift apart.
-//
-// The tick protocol per step is PreStep → advance the phone's thermal
-// network by the base step → PostStep. Finish closes the run (idempotent)
-// and returns the aggregated result.
-type StepRun struct {
+// fixed-tick loop (RunContext) drives every tick through tick, and the jump
+// engine (eventRun) runs its full ticks through tick and its close-out
+// ticks through closeTick, so the two engines' observing ticks share one
+// protocol and cannot drift apart.
+type stepRun struct {
 	p   *Phone
 	res *RunResult
 	at  func(float64) workload.Sample
@@ -28,15 +25,13 @@ type StepRun struct {
 	utilSum    float64
 	lastRecord float64
 	demand     float64
-	finished   bool
 }
 
-// StartRun opens a tick-controlled run of w for min(dur, workload
-// duration) seconds (dur <= 0: the workload's full duration), performing
-// exactly RunContext's setup: trace preallocation, aggregate
-// initialization from the phone's current state, and the per-run workload
-// cursor.
-func (p *Phone) StartRun(w workload.Workload, dur float64) *StepRun {
+// startRun opens a tick-controlled run of w for min(dur, workload
+// duration) seconds (dur <= 0: the workload's full duration): trace
+// preallocation, aggregate initialization from the phone's current state,
+// and the per-run workload cursor.
+func (p *Phone) startRun(w workload.Workload, dur float64) *stepRun {
 	if dur <= 0 || dur > w.Duration() {
 		dur = w.Duration()
 	}
@@ -46,7 +41,7 @@ func (p *Phone) StartRun(w workload.Workload, dur float64) *StepRun {
 		DurSec:   dur,
 	}
 	dt := p.cfg.StepSec
-	r := &StepRun{
+	r := &stepRun{
 		p:          p,
 		res:        res,
 		at:         workload.SamplerOf(w),
@@ -77,22 +72,23 @@ func (p *Phone) StartRun(w workload.Workload, dur float64) *StepRun {
 	return r
 }
 
-// Steps returns the total tick count of the run.
-func (r *StepRun) Steps() int { return r.steps }
-
-// Done returns how many ticks have completed (PreStep+PostStep pairs).
-func (r *StepRun) Done() int { return r.done }
-
-// PreStep runs the pre-thermal half of the next tick: workload sampling,
-// power injection and touch switching. The caller must advance the
-// phone's thermal network by the base step before calling PostStep.
-func (r *StepRun) PreStep() {
-	r.demand = r.p.stepPre(r.at(r.p.timeSec), r.dt)
+// tick advances exactly one fixed tick: workload sampling, power injection
+// and touch switching (stepPre), the thermal step, the sensor lags
+// following the new temperatures, then closeTick.
+func (r *stepRun) tick() {
+	p := r.p
+	r.demand, _ = p.stepPre(r.at(p.timeSec), r.dt, false)
+	p.net.Step(r.dt)
+	p.advanceSensors(r.dt)
+	r.closeTick()
 }
 
-// PostStep runs the post-thermal half of the tick — clock, sensors,
-// governor, controller — and folds the tick into the run aggregates.
-func (r *StepRun) PostStep() {
+// closeTick is everything in a tick after the physics — clock, logging,
+// governor, controller (stepPost) — plus the tick's fold into the run
+// aggregates, peak tracking and the trace record. The jump engine calls
+// it directly on a segment's close-out tick, once the physics jump has
+// landed the network and the sensor lags on that tick.
+func (r *stepRun) closeTick() {
 	p := r.p
 	res := r.res
 	p.stepPost(r.dt)
@@ -109,22 +105,7 @@ func (r *StepRun) PostStep() {
 	}
 	res.WorkDone += served * r.dt
 
-	skin := p.net.Temp(p.nodes.CoverMid)
-	screen := p.net.Temp(p.nodes.Screen)
-	die := p.net.Temp(p.nodes.Die)
-	bat := p.net.Temp(p.nodes.Battery)
-	if skin > res.MaxSkinC {
-		res.MaxSkinC = skin
-	}
-	if screen > res.MaxScreenC {
-		res.MaxScreenC = screen
-	}
-	if die > res.MaxDieC {
-		res.MaxDieC = die
-	}
-	if bat > res.MaxBatteryC {
-		res.MaxBatteryC = bat
-	}
+	skin, screen, die, bat := r.trackPeaks()
 	if p.timeSec-r.lastRecord+1e-9 >= p.cfg.RecordPeriodSec {
 		if res.Trace != nil {
 			res.Trace.Append(p.timeSec,
@@ -149,15 +130,33 @@ func (r *StepRun) PostStep() {
 	r.done++
 }
 
-// Finish closes the run and returns the aggregated result together with
+// trackPeaks folds the network's current ground-truth temperatures into
+// the run's peaks and returns them.
+func (r *stepRun) trackPeaks() (skin, screen, die, bat float64) {
+	p, res := r.p, r.res
+	skin = p.net.Temp(p.nodes.CoverMid)
+	screen = p.net.Temp(p.nodes.Screen)
+	die = p.net.Temp(p.nodes.Die)
+	bat = p.net.Temp(p.nodes.Battery)
+	if skin > res.MaxSkinC {
+		res.MaxSkinC = skin
+	}
+	if screen > res.MaxScreenC {
+		res.MaxScreenC = screen
+	}
+	if die > res.MaxDieC {
+		res.MaxDieC = die
+	}
+	if bat > res.MaxBatteryC {
+		res.MaxBatteryC = bat
+	}
+	return skin, screen, die, bat
+}
+
+// finish closes the run and returns the aggregated result together with
 // err (a context error for cancelled runs, nil otherwise). A run stopped
 // before its last tick reports the simulated time it actually covered.
-// Finish is idempotent; ticking a finished run is a caller bug.
-func (r *StepRun) Finish(err error) (*RunResult, error) {
-	if r.finished {
-		return r.res, err
-	}
-	r.finished = true
+func (r *stepRun) finish(err error) (*RunResult, error) {
 	p, res := r.p, r.res
 	if r.done > 0 {
 		res.AvgFreqMHz = r.freqSum / float64(r.done)

@@ -53,12 +53,13 @@ type Config struct {
 	// determinism contract: same jobs, same Seed → byte-identical results
 	// at any parallelism.
 	Runner Runner
-	// Event selects the stepping engine for every job in the batch (the
-	// zero value is the plain fixed-tick loop; see device.EventMode for
-	// the modes and their exactness guarantees). Every runner honors it —
-	// local, sharded and networked — so a mode choice cannot change
-	// results across deployment shapes beyond what the mode itself
-	// guarantees.
+	// Event selects the stepping engine for every job in the batch: the
+	// zero value is the fixed-tick reference (device.EventOff), and
+	// device.EventJump the held-input jump engine (see device.EventMode
+	// for each contract). Any other value fails every job with
+	// device.ErrUnknownEventMode. Every runner honors it — local, sharded
+	// and networked — so a mode choice cannot change results across
+	// deployment shapes beyond what the mode itself guarantees.
 	Event device.EventMode
 }
 
@@ -285,11 +286,7 @@ func runJob(ctx context.Context, cfg *Config, pool *phonePool, i int, job Job) J
 		r.Err = err
 		return r
 	}
-	if cfg.Event != device.EventOff {
-		r.Result, r.Err = phone.RunEventContext(ctx, job.Workload, job.DurSec, cfg.Event)
-	} else {
-		r.Result, r.Err = phone.RunContext(ctx, job.Workload, job.DurSec)
-	}
+	r.Result, r.Err = phone.RunEventContext(ctx, job.Workload, job.DurSec, cfg.Event)
 	pool.put(job.Device, phone)
 	return r
 }

@@ -1,16 +1,14 @@
 package net
 
 import (
-	"context"
 	"sync"
 	"time"
 )
 
 // TokenBucket is a classic rate/burst admission gate: Rate tokens refill
-// per second up to Burst, one token admits one job. The coordinator drains
-// it before dispatching a shard; the job server answers 429 when a
-// submission cannot be admitted without waiting. The zero value is not
-// useful; construct with NewTokenBucket.
+// per second up to Burst, one token admits one job. The job server answers
+// 429 when a submission cannot be admitted without waiting. The zero value
+// is not useful; construct with NewTokenBucket.
 type TokenBucket struct {
 	rate  float64
 	burst float64
@@ -56,35 +54,4 @@ func (b *TokenBucket) Allow(n int) bool {
 	}
 	b.tokens -= float64(n)
 	return true
-}
-
-// Wait blocks until n tokens are available and takes them, or returns the
-// context's error. n larger than the burst is clamped to the burst —
-// callers admitting a shard bigger than the whole bucket should be slowed,
-// not deadlocked.
-func (b *TokenBucket) Wait(ctx context.Context, n int) error {
-	if float64(n) > b.burst {
-		n = int(b.burst)
-	}
-	for {
-		b.mu.Lock()
-		b.refill()
-		if float64(n) <= b.tokens {
-			b.tokens -= float64(n)
-			b.mu.Unlock()
-			return nil
-		}
-		wait := time.Duration((float64(n) - b.tokens) / b.rate * float64(time.Second))
-		b.mu.Unlock()
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
-	}
 }

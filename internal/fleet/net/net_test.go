@@ -532,6 +532,62 @@ func TestNetRunnerAllHostsDown(t *testing.T) {
 	}
 }
 
+// TestServerRejectsUnknownEventMode: a shard request naming a stepping
+// engine other than off or jump is answered with one per-job error per
+// spec and a done frame, and the worker keeps serving.
+func TestServerRejectsUnknownEventMode(t *testing.T) {
+	addr := startServer(t, &fleetnet.Server{Capacity: 1})
+	for _, event := range []int{-1, 1, 2, 7} {
+		conn, err := stdnet.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		if f, err := wire.ReadFrame(conn); err != nil || f.Type != wire.TypeHello {
+			t.Fatalf("hello: %v", err)
+		}
+		jobs := specJobs(2, true)
+		req := &wire.ShardRequest{Workers: 1, Event: event}
+		for i := range jobs {
+			spec := *jobs[i].Spec
+			spec.Index = i
+			spec.Seed = fleet.EffectiveSeed(7, i, &jobs[i])
+			req.Jobs = append(req.Jobs, spec)
+		}
+		if err := wire.WriteFrame(conn, &wire.Frame{V: wire.Version, Type: wire.TypeShard, Shard: req}); err != nil {
+			t.Fatal(err)
+		}
+		errs := 0
+		for done := false; !done; {
+			f, err := wire.ReadFrame(conn)
+			if err != nil {
+				t.Fatalf("event %d: stream broke after %d results: %v", event, errs, err)
+			}
+			switch f.Type {
+			case wire.TypeResult:
+				if !strings.Contains(f.Result.Err, "unknown event mode") {
+					t.Fatalf("event %d: job %d err = %q, want unknown event mode", event, f.Result.Index, f.Result.Err)
+				}
+				errs++
+			case wire.TypeDone:
+				done = true
+			case wire.TypeHeartbeat:
+			default:
+				t.Fatalf("event %d: unexpected %s frame", event, f.Type)
+			}
+		}
+		conn.Close()
+		if errs != len(jobs) {
+			t.Fatalf("event %d: %d per-job errors, want %d", event, errs, len(jobs))
+		}
+	}
+	// The worker is still up and runs a valid shard.
+	nr := fleetnet.New([]string{addr})
+	if err := fleet.FirstError(nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 7, Event: device.EventJump}, specJobs(2, true))); err != nil {
+		t.Fatalf("worker after bad requests: %v", err)
+	}
+}
+
 // TestServerGracefulShutdown: Shutdown with a shard in flight lets it
 // finish and flush — the client still receives every result and the done
 // frame — then the connection closes.
@@ -592,7 +648,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 }
 
 // TestTokenBucket covers the admission gate: burst spends, refill credits,
-// Allow never blocks, Wait honors context.
+// a request beyond the burst is refused.
 func TestTokenBucket(t *testing.T) {
 	b := fleetnet.NewTokenBucket(1000, 10)
 	if !b.Allow(10) {
@@ -602,37 +658,16 @@ func TestTokenBucket(t *testing.T) {
 		t.Fatal("bucket should be empty")
 	}
 	// Refill at 1000/s: 10 tokens take ~10ms.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := b.Wait(ctx, 10); err != nil {
-		t.Fatalf("Wait should succeed after refill: %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for !b.Allow(10) {
+		if time.Now().After(deadline) {
+			t.Fatal("bucket never refilled")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	// A request beyond burst is clamped, not deadlocked.
-	if err := b.Wait(ctx, 50); err != nil {
-		t.Fatalf("beyond-burst Wait should clamp and succeed: %v", err)
-	}
-	// Cancelled context unblocks an unsatisfiable wait.
-	slow := fleetnet.NewTokenBucket(0.0001, 1)
-	if !slow.Allow(1) {
-		t.Fatal("initial burst")
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel2()
-	if err := slow.Wait(ctx2, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Wait = %v, want DeadlineExceeded", err)
-	}
-}
-
-// TestNetRunnerAdmission: the token bucket throttles dispatch without
-// changing results.
-func TestNetRunnerAdmission(t *testing.T) {
-	addr := startServer(t, &fleetnet.Server{Capacity: 2})
-	nr := fleetnet.New([]string{addr})
-	nr.ShardSize = 1
-	nr.Admission = fleetnet.NewTokenBucket(200, 2)
-	results := nr.Run(context.Background(), fleet.Config{Workers: 1, Seed: 3}, specJobs(6, true))
-	if err := fleet.FirstError(results); err != nil {
-		t.Fatal(err)
+	// A request beyond burst can never be admitted.
+	if b.Allow(50) {
+		t.Fatal("beyond-burst Allow admitted")
 	}
 }
 

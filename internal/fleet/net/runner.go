@@ -131,10 +131,6 @@ type Runner struct {
 	// duration (500 ms floor, needs 4 completed items); a positive value
 	// is an explicit threshold; negative disables hedging.
 	HedgeAfter time.Duration
-	// Admission, when set, gates dispatch: every primary work item takes
-	// one token per job before its shard request is written. Hedges are
-	// re-dispatches of already-admitted work and skip the gate.
-	Admission *TokenBucket
 	// Logf, when set, receives one line per host-level event (connect,
 	// loss, backoff, breaker transition, retry, hedge). Nil is silent.
 	Logf func(format string, args ...any)
@@ -1229,8 +1225,7 @@ func (r *Runner) dial(ctx context.Context, h host) (stdnet.Conn, int, error) {
 }
 
 // runSlot is one in-flight-shard lane on one connection: claim an
-// attempt, pass admission (primaries only — hedges re-dispatch admitted
-// work), ship it, merge the stream, repeat. A transport failure takes the
+// attempt, ship it, merge the stream, repeat. A transport failure takes the
 // generation down, requeues the attempt's unreported jobs (unless a
 // hedged sibling still owns them) and hands the connection back;
 // worker-side error frames are deterministic failures and are not
@@ -1251,13 +1246,6 @@ func (r *Runner) runSlot(ctx context.Context, g *hostGen, conn stdnet.Conn, d *d
 		if len(specs) == 0 {
 			d.settle(at, 0, true)
 			continue
-		}
-		if r.Admission != nil && !at.hedge {
-			if err := r.Admission.Wait(ctx, len(specs)); err != nil {
-				st.failSpecs(specs, err)
-				d.settle(at, 0, false)
-				return
-			}
 		}
 		start := time.Now()
 		err := r.streamItem(conn, at, specs, st, req, hbTimeout)

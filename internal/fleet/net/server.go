@@ -15,7 +15,7 @@
 //   - Runner: the coordinator, over a static host inventory with liveness
 //     (heartbeat read deadlines), per-worker in-flight caps,
 //     retry-on-worker-loss that re-dispatches only the unreported jobs of
-//     a lost shard, circuit breakers, hedging and token-bucket admission.
+//     a lost shard, circuit breakers and hedging.
 //     After a transport is chosen, both run the same code. Seeds are
 //     resolved coordinator-side through fleet.EffectiveSeed, so a remote
 //     run is byte-identical to LocalRunner — even after a worker dies

@@ -116,7 +116,8 @@ type ShardRequest struct {
 	// TypeSample frame tagged with the spec's global index.
 	WantSamples bool `json:"want_samples,omitempty"`
 	// Event selects the worker's stepping engine (a device.EventMode
-	// value; 0 is the plain fixed-tick loop). Carried as an int so the
+	// value: 0 is the plain fixed-tick loop, 3 the jump engine; any other
+	// value fails every job of the shard). Carried as an int so the
 	// wire package stays free of behavioral coupling; the worker converts
 	// it back and applies it to its fleet config, which is what keeps a
 	// sharded event run equal to a local run under the same mode.

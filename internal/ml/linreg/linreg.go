@@ -36,8 +36,8 @@ func (m *Model) Name() string { return "LinearRegression" }
 // Fit implements ml.Regressor by solving the (regularized) normal
 // equations with an intercept column.
 func (m *Model) Fit(d *ml.Dataset) error {
-	if d.Len() == 0 {
-		return ml.ErrEmptyDataset
+	if err := d.Validate(); err != nil {
+		return err
 	}
 	cols := d.NumAttrs() + 1
 	a := mat.NewDense(d.Len(), cols)

@@ -57,8 +57,8 @@ func (m *Model) Name() string { return "M5P" }
 
 // Fit implements ml.Regressor.
 func (m *Model) Fit(d *ml.Dataset) error {
-	if d.Len() == 0 {
-		return ml.ErrEmptyDataset
+	if err := d.Validate(); err != nil {
+		return err
 	}
 	minInst := m.MinInstances
 	if minInst < 1 {

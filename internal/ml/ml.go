@@ -128,6 +128,38 @@ type Regressor interface {
 // ErrEmptyDataset is returned by Fit implementations given no instances.
 var ErrEmptyDataset = errors.New("ml: empty dataset")
 
+// ErrNonFinite is returned (wrapped) by Validate, and so by every
+// regressor's Fit, when a feature or target is NaN or ±Inf.
+var ErrNonFinite = errors.New("ml: non-finite value in dataset")
+
+// Validate reports whether d can be fitted: ErrEmptyDataset for a nil or
+// instance-free dataset, an error for mismatched feature-row and target
+// counts or a row whose width differs from the declared attributes, and a
+// wrapped ErrNonFinite for a NaN or ±Inf feature or target. Every
+// regressor's Fit calls it before touching the data.
+func (d *Dataset) Validate() error {
+	if d.Len() == 0 {
+		return ErrEmptyDataset
+	}
+	if len(d.Y) != len(d.X) {
+		return fmt.Errorf("ml: dataset has %d feature rows but %d targets", len(d.X), len(d.Y))
+	}
+	for i, x := range d.X {
+		if len(x) != d.NumAttrs() {
+			return fmt.Errorf("ml: row %d has %d features, dataset declares %d", i, len(x), d.NumAttrs())
+		}
+		for a, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: row %d attribute %q is %v", ErrNonFinite, i, d.AttrNames[a], v)
+			}
+		}
+		if y := d.Y[i]; math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("%w: row %d target is %v", ErrNonFinite, i, y)
+		}
+	}
+	return nil
+}
+
 // CrossValidate runs k-fold cross-validation: the dataset is shuffled with
 // the seed, split into k folds, and each fold is predicted by a model
 // trained on the other k−1. It returns (expected, predicted) pairs aligned

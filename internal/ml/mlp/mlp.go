@@ -50,8 +50,8 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Fit implements ml.Regressor.
 func (m *Model) Fit(d *ml.Dataset) error {
-	if d.Len() == 0 {
-		return ml.ErrEmptyDataset
+	if err := d.Validate(); err != nil {
+		return err
 	}
 	nin := d.NumAttrs()
 	hidden := m.Hidden

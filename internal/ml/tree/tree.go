@@ -23,8 +23,6 @@ package tree
 
 import (
 	"cmp"
-	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -54,10 +52,6 @@ type Model struct {
 
 var _ ml.Regressor = (*Model)(nil)
 
-// ErrNonFinite is returned (wrapped) by Fit when a feature or target is NaN
-// or ±Inf: the presort needs a total order on every attribute.
-var ErrNonFinite = errors.New("tree: non-finite value in dataset")
-
 type node struct {
 	attr      int
 	threshold float64
@@ -78,10 +72,9 @@ func (m *Model) Name() string { return "REPTree" }
 
 // Fit implements ml.Regressor.
 func (m *Model) Fit(d *ml.Dataset) error {
-	if d.Len() == 0 {
-		return ml.ErrEmptyDataset
-	}
-	if err := checkDataset(d); err != nil {
+	// Validate's non-finite check gives the presort a total order on
+	// every attribute.
+	if err := d.Validate(); err != nil {
 		return err
 	}
 	minInst, folds := m.settings()
@@ -89,27 +82,6 @@ func (m *Model) Fit(d *ml.Dataset) error {
 	m.root = growPresorted(d, growIdx, minInst, m.MaxDepth)
 	if len(pruneIdx) > 0 {
 		pruneREP(m.root, d, pruneIdx)
-	}
-	return nil
-}
-
-// checkDataset rejects shapes and values the grower cannot order.
-func checkDataset(d *ml.Dataset) error {
-	if len(d.Y) != len(d.X) {
-		return fmt.Errorf("tree: dataset has %d feature rows but %d targets", len(d.X), len(d.Y))
-	}
-	for i, x := range d.X {
-		if len(x) != d.NumAttrs() {
-			return fmt.Errorf("tree: row %d has %d features, dataset declares %d", i, len(x), d.NumAttrs())
-		}
-		for a, v := range x {
-			if !finite(v) {
-				return fmt.Errorf("%w: row %d attribute %q is %v", ErrNonFinite, i, d.AttrNames[a], v)
-			}
-		}
-		if y := d.Y[i]; !finite(y) {
-			return fmt.Errorf("%w: row %d target is %v", ErrNonFinite, i, y)
-		}
 	}
 	return nil
 }

@@ -307,7 +307,7 @@ func TestFitRejectsNonFinite(t *testing.T) {
 				d.Add([]float64{float64(i), float64(i % 7)}, float64(i%3))
 			}
 			d.X[40][1], d.Y[40] = tc.x, tc.y
-			if err := New(1).Fit(d); !errors.Is(err, ErrNonFinite) {
+			if err := New(1).Fit(d); !errors.Is(err, ml.ErrNonFinite) {
 				t.Fatalf("Fit = %v, want ErrNonFinite", err)
 			}
 		})

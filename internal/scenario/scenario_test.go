@@ -398,3 +398,42 @@ func TestGridSubset(t *testing.T) {
 		t.Fatal("duplicate subset index accepted")
 	}
 }
+
+// FuzzParseScenario: any input either fails to parse or yields a valid
+// spec whose canonical JSON re-parses to the same canonical JSON — for
+// JSON input and the hand-rolled YAML subset alike.
+func FuzzParseScenario(f *testing.F) {
+	for _, path := range []string{
+		filepath.Join("testdata", "table1_reduced.json"),
+		filepath.Join("testdata", "sweep.yaml"),
+		filepath.Join("..", "..", "examples", "sweep", "table1.json"),
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			return
+		}
+		_ = spec.String()
+		out, err := spec.Marshal()
+		if err != nil {
+			t.Fatalf("parsed spec does not marshal: %v", err)
+		}
+		again, err := Parse(out)
+		if err != nil {
+			t.Fatalf("canonical JSON does not re-parse: %v\n%s", err, out)
+		}
+		out2, err := again.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(out) != string(out2) {
+			t.Fatalf("canonical JSON not a fixed point:\n%s\n---\n%s", out, out2)
+		}
+	})
+}

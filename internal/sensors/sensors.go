@@ -262,74 +262,14 @@ func (l *Logger) SetRetainLatestOnly(on bool) {
 	}
 }
 
-// Observe feeds one simulation step into the logger. util and freqMHz are
-// accumulated; when a logging window closes, a Record is emitted by
+// Observe feeds one simulation step into the logger: ObserveHeld's
+// accumulation, then, when the logging window closes, a Record emitted by
 // sampling the four attached sensors — the ADC conversion (noise +
 // quantization) happens once per log line, exactly like the real logging
 // app, so ticks inside a window cost only the accumulation.
 func (l *Logger) Observe(t, util, freqMHz float64, cpu, bat, skin, screen *Sensor) {
-	if !l.started {
-		l.started = true
-		l.winStart = t
-	}
-	l.utilSum += util
-	l.freqSum += freqMHz
-	l.winSamples++
-	if t-l.winStart+1e-9 >= l.PeriodSec {
-		rec := Record{
-			TimeSec:      t,
-			CPUTempC:     cpu.Sample(),
-			BatteryTempC: bat.Sample(),
-			Util:         l.utilSum / float64(l.winSamples),
-			FreqMHz:      l.freqSum / float64(l.winSamples),
-			SkinTempC:    skin.Sample(),
-			ScreenTempC:  screen.Sample(),
-		}
-		if n := len(l.records); l.retainLatest && n > 0 {
-			l.records[n-1] = rec // invariant: n == 1 while retaining latest
-		} else {
-			l.records = append(l.records, rec)
-		}
-		l.winStart = t
-		l.utilSum, l.freqSum, l.winSamples = 0, 0, 0
-	}
-}
-
-// ObserveHeld accumulates one simulation step into the current logging
-// window without the emission check. The event engine replays folded
-// (held-input) ticks through it — one float add per accumulator, the
-// identical adds Observe performs — and routes every tick that WouldEmit
-// through the full Observe, so window sums, sample counts and therefore
-// the averages in every emitted Record stay bit-identical to a tick-by-
-// tick run.
-func (l *Logger) ObserveHeld(t, util, freqMHz float64) {
-	if !l.started {
-		l.started = true
-		l.winStart = t
-	}
-	l.utilSum += util
-	l.freqSum += freqMHz
-	l.winSamples++
-}
-
-// WouldEmit reports whether an Observe at time t would close the current
-// logging window and emit a Record. Emission samples the attached sensors
-// (consuming noise-stream draws), so the event engine routes such ticks
-// through its close-out path: it asks WouldEmit before folding a tick
-// into the interior of a held segment.
-func (l *Logger) WouldEmit(t float64) bool {
-	return l.started && t-l.winStart+1e-9 >= l.PeriodSec
-}
-
-// EmitHeld closes the current logging window at time t when due, emitting
-// a Record exactly as Observe's emission branch would — same sensor
-// sampling order (same noise-stream draws), same averages from the
-// accumulated sums. The event engine pairs it with ObserveHeld: folded
-// ticks accumulate, the segment's physics jump advances the sensor lags,
-// and the close-out tick emits from the jumped state. A no-op when the
-// window is still open.
-func (l *Logger) EmitHeld(t float64, cpu, bat, skin, screen *Sensor) {
-	if !l.started || t-l.winStart+1e-9 < l.PeriodSec {
+	l.ObserveHeld(t, util, freqMHz)
+	if !l.WouldEmit(t) {
 		return
 	}
 	rec := Record{
@@ -348,6 +288,31 @@ func (l *Logger) EmitHeld(t float64, cpu, bat, skin, screen *Sensor) {
 	}
 	l.winStart = t
 	l.utilSum, l.freqSum, l.winSamples = 0, 0, 0
+}
+
+// ObserveHeld accumulates one simulation step into the current logging
+// window without the emission check. The jump engine replays folded
+// (held-input) ticks through it — the identical adds Observe performs —
+// and routes every tick that WouldEmit through the full Observe, so window
+// sums, sample counts and therefore the averages in every emitted Record
+// stay bit-identical to a tick-by-tick run.
+func (l *Logger) ObserveHeld(t, util, freqMHz float64) {
+	if !l.started {
+		l.started = true
+		l.winStart = t
+	}
+	l.utilSum += util
+	l.freqSum += freqMHz
+	l.winSamples++
+}
+
+// WouldEmit reports whether an Observe at time t would close the current
+// logging window and emit a Record. Emission samples the attached sensors
+// (consuming noise-stream draws), so the jump engine asks WouldEmit before
+// folding a tick into the interior of a held segment and closes the
+// segment on such a tick instead.
+func (l *Logger) WouldEmit(t float64) bool {
+	return l.started && t-l.winStart+1e-9 >= l.PeriodSec
 }
 
 // Records returns the accumulated log.

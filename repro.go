@@ -93,9 +93,9 @@ type (
 	Controller = device.Controller
 	// Governor is the cpufreq policy interface.
 	Governor = governor.Governor
-	// EventMode selects the stepping engine (fixed-tick oracle or the
-	// event-driven engines; see device.EventMode for the exactness
-	// guarantees of each mode).
+	// EventMode selects the stepping engine (EventOff, the fixed-tick
+	// reference, or EventJump; see device.EventMode for the exact
+	// contract of each).
 	EventMode = device.EventMode
 
 	// Session is one simulated handset behind options-based construction
@@ -186,14 +186,11 @@ const DefaultLimitC = users.DefaultLimitC
 // Event stepping modes, re-exported for callers configuring fleets or
 // scenarios without importing internal packages.
 const (
-	EventOff    = device.EventOff
-	EventTick   = device.EventTick
-	EventOracle = device.EventOracle
-	EventJump   = device.EventJump
+	EventOff  = device.EventOff
+	EventJump = device.EventJump
 )
 
-// ParseEventMode parses the CLI spelling of an event mode
-// (off|tick|oracle|jump).
+// ParseEventMode parses the CLI spelling of an event mode (off|jump).
 func ParseEventMode(s string) (EventMode, error) { return device.ParseEventMode(s) }
 
 // Sensor noise stream versions for DeviceConfig.NoiseVersion: legacy is
@@ -398,10 +395,11 @@ func ScenarioPredictor(p *Predictor) ScenarioOption { return func(rc *scenarioRu
 func ScenarioSink(s Sink) ScenarioOption { return func(rc *scenarioRun) { rc.sink = s } }
 
 // ScenarioEventMode runs the sweep on the selected stepping engine.
-// EventTick is byte-identical to the default loop; EventJump replays the
-// scheduling plane exactly while thermal observables carry the held-input
-// discretization tolerance (see EventMode). Composes with every runner
-// shape — local, sharded, networked.
+// EventOff (the default) is the fixed-tick reference; EventJump replays
+// the scheduling plane exactly while thermal observables carry the
+// held-input discretization tolerance (see EventMode). Composes with every
+// runner shape — local, sharded, networked — and the results do not depend
+// on the shape.
 func ScenarioEventMode(m EventMode) ScenarioOption {
 	return func(rc *scenarioRun) { rc.event = m }
 }
