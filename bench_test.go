@@ -384,22 +384,27 @@ func BenchmarkFleetRun(b *testing.B) {
 }
 
 // BenchmarkEventRun measures one device's two stepping engines head to
-// head on a 5-minute Skype slice (trace-free, stock governor, no
-// controller — the pure stepping cost): the fixed-tick loop and the
-// dt-ladder jump engine. The metric is simulated seconds per wall second.
+// head on 5-minute slices (trace-free, stock governor, no controller — the
+// pure stepping cost): the fixed-tick loop and the dt-ladder jump engine,
+// on Skype ("off", "jump") and on the charger ("charging-off",
+// "charging-jump", where every tick after the first folds under a held
+// charger heat). The metric is simulated seconds per wall second.
 func BenchmarkEventRun(b *testing.B) {
 	modes := []struct {
-		name string
-		mode repro.EventMode
+		name     string
+		workload string
+		mode     repro.EventMode
 	}{
-		{"off", repro.EventOff},
-		{"jump", repro.EventJump},
+		{"off", "skype", repro.EventOff},
+		{"jump", "skype", repro.EventJump},
+		{"charging-off", "charging", repro.EventOff},
+		{"charging-jump", "charging", repro.EventJump},
 	}
 	const durSec = 300
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
 			cfg := repro.DefaultDeviceConfig()
-			w := repro.WorkloadByName("skype", 7)
+			w := repro.WorkloadByName(m.workload, 7)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -116,14 +116,18 @@ func TestEventJumpRunnerInvariance(t *testing.T) {
 // small fraction of a kelvin, energy and duty-cycle aggregates within a
 // small relative error. USTA runs may legitimately quantize an occasional
 // clamp decision differently (the controller reads binned sensor
-// records), which is why this plane is a tolerance, not an identity.
+// records), which is why this plane is a tolerance, not an identity. The
+// bands are about twice the measured worst case, rounded up: on the
+// reduced grid the largest differences are 0.0436 °C on a peak and 5.0e-4
+// relative, both on antutu-cpu-90min under USTA, with or without the
+// charging cell folded.
 func TestEventJumpCloseToOracleTable1(t *testing.T) {
 	ref, _ := eventExec(t, "off", true, repro.ScenarioWorkers(1))
 	got, _ := eventExec(t, "jump", true,
 		repro.ScenarioWorkers(1), repro.ScenarioEventMode(repro.EventJump))
 
-	const tempTol = 0.25 // °C on peaks
-	const relTol = 0.05  // on energy / frequency / utilization aggregates
+	const tempTol = 0.1 // °C on peaks
+	const relTol = 1e-3 // on energy / frequency / utilization aggregates
 	rel := func(a, b float64) float64 {
 		d := math.Abs(b)
 		if d < 1 {

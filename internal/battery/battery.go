@@ -50,21 +50,27 @@ func Nexus4Config() Config {
 	}
 }
 
-// Validate reports whether the configuration is well formed.
+// Validate reports whether the configuration is well formed: every field
+// finite, and every range comparison written so that NaN fails it.
 func (c Config) Validate() error {
-	if c.CapacityWh <= 0 {
+	for _, v := range []float64{c.CapacityWh, c.NominalV, c.InternalOhm, c.ChargeCurrentA, c.CVThreshold, c.ChargeEff} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("battery: configuration values must be finite, got %v", v)
+		}
+	}
+	if !(c.CapacityWh > 0) {
 		return fmt.Errorf("battery: CapacityWh must be positive")
 	}
-	if c.NominalV <= 0 {
+	if !(c.NominalV > 0) {
 		return fmt.Errorf("battery: NominalV must be positive")
 	}
-	if c.InternalOhm < 0 {
+	if !(c.InternalOhm >= 0) {
 		return fmt.Errorf("battery: InternalOhm must be non-negative")
 	}
-	if c.ChargeEff <= 0 || c.ChargeEff > 1 {
+	if !(c.ChargeEff > 0 && c.ChargeEff <= 1) {
 		return fmt.Errorf("battery: ChargeEff must be in (0,1]")
 	}
-	if c.CVThreshold <= 0 || c.CVThreshold >= 1 {
+	if !(c.CVThreshold > 0 && c.CVThreshold < 1) {
 		return fmt.Errorf("battery: CVThreshold must be in (0,1)")
 	}
 	return nil
@@ -145,8 +151,7 @@ func (p *Pack) Discharge(loadWatts, dt float64) (heatWatts float64) {
 	if loadWatts <= 0 || dt <= 0 {
 		return 0
 	}
-	i := loadWatts / p.OCV()
-	heat := i * i * p.cfg.InternalOhm
+	heat := p.DischargeHeat(loadWatts)
 	p.soc = clamp01(p.soc - (loadWatts+heat)*dt*p.invCapJ)
 	return heat
 }
@@ -170,8 +175,30 @@ func (p *Pack) DischargeHeat(loadWatts float64) (heatWatts float64) {
 // dissipated in the pack (inefficiency + I²R) and the electrical power
 // actually stored. Charging follows CC below CVThreshold and an
 // exponential taper above it; a full pack draws (and dissipates) nothing.
+// Both rates are taken at the starting state of charge: one Charge(n·dt)
+// applies the rates of the first of n Charge(dt) calls throughout.
 func (p *Pack) Charge(dt float64) (heatWatts, storedWatts float64) {
-	if dt <= 0 || p.soc >= 1 {
+	if dt <= 0 {
+		return 0, 0
+	}
+	heat, stored := p.chargeRates()
+	p.soc = clamp01(p.soc + stored*dt/3600/p.cfg.CapacityWh)
+	return heat, stored
+}
+
+// ChargeHeat returns the heat rate (watts) Charge would report at the
+// current state of charge, bit for bit, without charging: DischargeHeat's
+// counterpart.
+func (p *Pack) ChargeHeat() (heatWatts float64) {
+	heat, _ := p.chargeRates()
+	return heat
+}
+
+// chargeRates is the CC/CV charge profile at the current state of charge:
+// the heat dissipated in the pack and the power stored, in watts (both
+// zero for a full pack).
+func (p *Pack) chargeRates() (heat, stored float64) {
+	if p.soc >= 1 {
 		return 0, 0
 	}
 	current := p.cfg.ChargeCurrentA
@@ -181,10 +208,8 @@ func (p *Pack) Charge(dt float64) (heatWatts, storedWatts float64) {
 		current *= math.Exp(-2.3 * frac)
 	}
 	inPower := current * p.OCV() / p.cfg.ChargeEff
-	stored := current * p.OCV()
-	heat := (inPower - stored) + current*current*p.cfg.InternalOhm
-	p.soc = clamp01(p.soc + stored*dt/3600/p.cfg.CapacityWh)
-	return heat, stored
+	stored = current * p.OCV()
+	return (inPower - stored) + current*current*p.cfg.InternalOhm, stored
 }
 
 // TimeToFullSec estimates the remaining charge time at the current state,

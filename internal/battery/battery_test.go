@@ -22,6 +22,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.ChargeEff = 1.5 },
 		func(c *Config) { c.CVThreshold = 0 },
 		func(c *Config) { c.CVThreshold = 1 },
+		func(c *Config) { c.CapacityWh = math.NaN() },
+		func(c *Config) { c.CapacityWh = math.Inf(1) },
+		func(c *Config) { c.InternalOhm = math.NaN() },
+		func(c *Config) { c.ChargeCurrentA = math.NaN() },
+		func(c *Config) { c.ChargeEff = math.NaN() },
+		func(c *Config) { c.CVThreshold = math.NaN() },
 	}
 	for i, mutate := range cases {
 		c := good
@@ -228,4 +234,45 @@ func TestNoFreeEnergyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestChargeHeatPeekMatchesCharge pins the charging half of the
+// peek-then-apply protocol: ChargeHeat is bit-equal to the heat Charge
+// reports from the same state (CC, the CC/CV knee, CV and a full pack),
+// and one Charge over a span of n ticks lands within a stated bound of n
+// single-tick charges. The one-shot charge applies the span-start rate
+// throughout, so the gap is second order in the span: at most 2e-3 of the
+// SoC gained over a one-second span of 20 ticks, about twice the measured
+// worst case (9.1e-4, at the CC/CV knee; 1.2e-5 to 5.9e-5 in CC).
+func TestChargeHeatPeekMatchesCharge(t *testing.T) {
+	const dt, n = 0.05, 20
+	worst := 0.0
+	for _, soc := range []float64{0, 0.05, 0.2, 0.5, 0.79, 0.8, 0.8001, 0.9, 0.99, 0.99999, 1} {
+		p := MustNew(Nexus4Config(), soc)
+		clone := func() *Pack { q := *p; return &q }
+		peek := p.ChargeHeat()
+		heat, _ := clone().Charge(dt)
+		if math.Float64bits(peek) != math.Float64bits(heat) {
+			t.Errorf("SoC %v: ChargeHeat %v, Charge heat %v", soc, peek, heat)
+		}
+		one := clone()
+		one.Charge(n * dt)
+		seq := clone()
+		for i := 0; i < n; i++ {
+			seq.Charge(dt)
+		}
+		gain := seq.SoC() - soc
+		if gain == 0 {
+			if one.SoC() != seq.SoC() {
+				t.Errorf("SoC %v: one-shot charge %v, a full pack stays %v", soc, one.SoC(), seq.SoC())
+			}
+			continue
+		}
+		rel := math.Abs(one.SoC()-seq.SoC()) / gain
+		worst = math.Max(worst, rel)
+		if rel > 2e-3 {
+			t.Errorf("SoC %v: one-shot charge gains %v, %d ticks gain %v (rel %.2e)", soc, one.SoC()-soc, n, gain, rel)
+		}
+	}
+	t.Logf("worst one-shot/sequential gap: %.3e of the SoC gained", worst)
 }

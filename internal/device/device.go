@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/battery"
 	"repro/internal/governor"
@@ -131,8 +132,15 @@ type Phone struct {
 }
 
 // New creates a phone with the given configuration and governor. The
-// governor may be nil, in which case ondemand is used.
+// governor may be nil, in which case ondemand is used. A NaN or infinite
+// step, period, display power, initial state of charge or pack setting is
+// an error.
 func New(cfg Config, gov governor.Governor) (*Phone, error) {
+	for _, v := range []float64{cfg.StepSec, cfg.GovernorPeriodSec, cfg.LoggerPeriodSec, cfg.RecordPeriodSec, cfg.DisplayMaxWatts, cfg.InitialSoC} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("device: step, periods, display power and initial SoC must be finite, got %v", v)
+		}
+	}
 	if cfg.StepSec <= 0 {
 		return nil, fmt.Errorf("device: StepSec must be positive, got %v", cfg.StepSec)
 	}
@@ -353,7 +361,7 @@ func (p *Phone) Run(w workload.Workload, dur float64) *RunResult {
 // within one StepSec of simulated progress. On early stop it returns the
 // partial result aggregated over the steps that did execute, together with
 // the context's error. The loop body is stepRun.tick — the same tick
-// protocol the jump engine's full and close-out ticks run. A nil workload
+// protocol the jump engine's first and close-out ticks run. A nil workload
 // is an error, not a panic.
 func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64) (*RunResult, error) {
 	if isNilWorkload(w) {
@@ -370,14 +378,13 @@ func (p *Phone) RunContext(ctx context.Context, w workload.Workload, dur float64
 }
 
 // stepPre runs everything that precedes the tick's thermal integration:
-// workload demand → utilization, power computation and injection, battery
-// thermals, and hand-contact switching. It returns the workload's CPU
-// demand in aggregate core-MHz and the electrical load the battery
-// supplies. held is the jump engine's segment freeze: the battery heat is
-// peeked at the current state of charge instead of drained over dt (the
-// engine drains once per segment, when its length is known); the engine
-// never holds a charging tick.
-func (p *Phone) stepPre(sample workload.Sample, dt float64, held bool) (demandMHz, loadW float64) {
+// workload demand → utilization, power injection, the battery heat rate
+// and hand-contact switching. It returns the workload's CPU demand in
+// aggregate core-MHz and the electrical load the battery supplies. The
+// battery heat is a peek at the current state of charge; the caller
+// applies the charge or drain afterwards with drainPack, over one tick
+// (stepRun.tick) or over a whole held segment (eventRun.runHeld).
+func (p *Phone) stepPre(sample workload.Sample) (demandMHz, loadW float64) {
 	// 1. Demand → utilization at the current operating point.
 	demand := sample.CPUFrac * p.cpu.MaxCapacityMHz()
 	capacity := p.cpu.CapacityMHz()
@@ -403,17 +410,13 @@ func (p *Phone) stepPre(sample workload.Sample, dt float64, held bool) (demandMH
 	load := cpuPower + gpuPower + auxPower + displayPower
 
 	var batteryHeat float64
-	switch {
-	case sample.ChargeWatts > 0:
-		heat, _ := p.pack.Charge(dt)
+	if sample.ChargeWatts > 0 {
 		// The workload's ChargeWatts acts as a charger-duty scale relative
 		// to the pack's nominal CC heat, so profiles can model slow/fast
 		// chargers without knowing pack internals.
-		batteryHeat = heat * sample.ChargeWatts / 0.9
-	case held:
+		batteryHeat = p.pack.ChargeHeat() * sample.ChargeWatts / 0.9
+	} else {
 		batteryHeat = p.pack.DischargeHeat(load)
-	default:
-		batteryHeat = p.pack.Discharge(load, dt)
 	}
 
 	p.net.SetPower(p.nodes.Die, cpuPower)
@@ -431,6 +434,17 @@ func (p *Phone) stepPre(sample workload.Sample, dt float64, held bool) (demandMH
 		thermal.ApplyTouch(p.net, p.nodes, p.cfg.Thermal, p.touching)
 	}
 	return demand, load
+}
+
+// drainPack applies the battery side of what stepPre peeked: the charge
+// (charging, a sample with ChargeWatts > 0) or the drain of loadW, over
+// span seconds at the rates of the pack's current state of charge.
+func (p *Phone) drainPack(charging bool, loadW, span float64) {
+	if charging {
+		p.pack.Charge(span)
+	} else {
+		p.pack.Discharge(loadW, span)
+	}
 }
 
 // advanceSensors moves the four sensor lag filters one tick toward their

@@ -29,6 +29,43 @@ func TestNewValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFinite pins that New refuses a NaN or infinite step,
+// period, display, initial-SoC or pack setting instead of building a phone
+// that runs no ticks or reports NaN energy and state of charge.
+func TestNewRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Config, float64){
+		"StepSec":                func(c *Config, v float64) { c.StepSec = v },
+		"GovernorPeriodSec":      func(c *Config, v float64) { c.GovernorPeriodSec = v },
+		"LoggerPeriodSec":        func(c *Config, v float64) { c.LoggerPeriodSec = v },
+		"RecordPeriodSec":        func(c *Config, v float64) { c.RecordPeriodSec = v },
+		"DisplayMaxWatts":        func(c *Config, v float64) { c.DisplayMaxWatts = v },
+		"InitialSoC":             func(c *Config, v float64) { c.InitialSoC = v },
+		"Battery.CapacityWh":     func(c *Config, v float64) { c.Battery.CapacityWh = v },
+		"Battery.NominalV":       func(c *Config, v float64) { c.Battery.NominalV = v },
+		"Battery.InternalOhm":    func(c *Config, v float64) { c.Battery.InternalOhm = v },
+		"Battery.ChargeCurrentA": func(c *Config, v float64) { c.Battery.ChargeCurrentA = v },
+		"Battery.CVThreshold":    func(c *Config, v float64) { c.Battery.CVThreshold = v },
+		"Battery.ChargeEff":      func(c *Config, v float64) { c.Battery.ChargeEff = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			set(&cfg, v)
+			if p, err := New(cfg, nil); err == nil {
+				res := p.Run(workload.Charging(2), 30)
+				t.Errorf("%s = %v accepted (30 s of charging: %d records, energy %v J, end SoC %v)",
+					name, v, len(res.Records), res.EnergyJ, res.EndSoC)
+			}
+		}
+	}
+	// Finite settings keep their meaning, zero periods included.
+	cfg := DefaultConfig()
+	cfg.LoggerPeriodSec, cfg.RecordPeriodSec, cfg.DisplayMaxWatts = 0, 0, 0
+	if _, err := New(cfg, nil); err != nil {
+		t.Fatalf("zero logger/record period or display power rejected: %v", err)
+	}
+}
+
 func TestMustNewPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -29,15 +29,19 @@ import (
 //   - EventOff is the reference.
 //   - EventJump holds each segment's power and battery inputs at their
 //     segment-start values (a zero-order hold at event resolution instead
-//     of tick resolution; leakage is exponential in die temperature, so the
-//     hold is an approximation). Frequency, utilization, governor-level
+//     of tick resolution). Leakage is exponential in die temperature and
+//     the charger heat tapers with state of charge, so both holds are
+//     approximations; the pack is charged or drained once per segment at
+//     its segment-start rate. Frequency, utilization, governor-level
 //     trajectories, work aggregates and record timing/Util/FreqMHz are
 //     bit-identical to EventOff for runs whose controller does not read
 //     thermal observations. Thermal-plane values (temperatures, energy,
 //     state of charge, sensor readings) differ from EventOff by the
 //     held-input discretization: within 0.05 °C and 2e-3 relative on the
-//     device differential corpus, and within 0.25 °C / 5 % on the Table 1
-//     grid, where USTA reads thermal observations and can occasionally
+//     device differential corpus, within 0.0025 °C / 1.5e-4 on an hour of
+//     charging (measured 1.2e-3 °C / 6.2e-5), and within 0.1 °C / 1e-3 on
+//     the Table 1 grid (measured 0.044 °C / 5e-4, antutu-cpu-90min under
+//     USTA), where USTA reads thermal observations and can occasionally
 //     clamp one decision differently.
 //   - The ladder jump itself is exact up to floating-point summation order:
 //     against the same segmentation advanced tick by tick (seqPhysics) it
@@ -52,8 +56,7 @@ import (
 // from the jumped state, so every sensor-noise draw happens at exactly the
 // tick EventOff draws it and the noise streams never desynchronize. A
 // close-out may be a segment of one tick (a level change landing just
-// before an emission); only the run's first tick and charging ticks run
-// the full fixed tick.
+// before an emission); only the run's first tick runs the full fixed tick.
 type EventMode int
 
 const (
@@ -172,27 +175,18 @@ func (e *eventRun) run(ctx context.Context) (*RunResult, error) {
 }
 
 // segment advances the run by one unit: a full fixed tick for the run's
-// first tick and for charging ticks, otherwise one held-input segment of
-// up to a record period's worth of folded ticks, closed by the next
-// observing/deciding tick.
+// first tick, otherwise one held-input segment of up to a record period's
+// worth of folded ticks, closed by the next observing/deciding tick.
+// Charging ticks fold too, with the charger heat held per segment.
 func (e *eventRun) segment() {
 	r := e.r
-	p := r.p
 	// The first tick primes the sensor lags, opens the logger window and
 	// emits the initial record, exactly like the fixed-tick loop.
 	if r.done == 0 {
 		r.tick()
 		return
 	}
-	sample := r.at(p.timeSec)
-	if sample.ChargeWatts > 0 {
-		// Charging mutates the pack's CC/CV state nonlinearly per tick;
-		// keep those ticks exact. Only the Charging workload has them, for
-		// a fraction of its duration.
-		r.tick()
-		return
-	}
-	e.runHeld(sample)
+	e.runHeld(r.at(r.p.timeSec))
 }
 
 // runHeld folds one held-input segment starting with sample: inputs
@@ -205,10 +199,10 @@ func (e *eventRun) runHeld(sample workload.Sample) {
 	dt := r.dt
 	nextChange := e.boundary(p.timeSec)
 
-	// Freeze the segment inputs: stepPre with the battery heat peeked
-	// instead of drained (the drain happens once, below, when the segment
-	// length is known).
-	demand, load := p.stepPre(sample, dt, true)
+	// Freeze the segment inputs: stepPre peeks the battery heat rate (the
+	// charge or drain happens once, below, when the segment length is
+	// known).
+	demand, load := p.stepPre(sample)
 	util := p.utilNow
 	r.demand = demand
 
@@ -309,14 +303,14 @@ func (e *eventRun) runHeld(sample workload.Sample) {
 	r.done += k
 
 	// Physics for every tick of the segment, the close-out included. One
-	// held-model drain for the whole segment: the heat rate matches the
-	// peek above (same load, same segment-start SoC), so the injected
-	// battery heat was consistent with the drain.
+	// charge or drain for the whole segment at the segment-start rates:
+	// the heat rate matches the peek above (same load, same segment-start
+	// SoC), so the injected battery heat was consistent with it.
 	n := k
 	if closeOut {
 		n++
 	}
-	p.pack.Discharge(load, float64(n)*dt)
+	p.drainPack(sample.ChargeWatts > 0, load, float64(n)*dt)
 	e.physics(n)
 
 	// The close-out tick finishes as a fixed tick. Otherwise only the

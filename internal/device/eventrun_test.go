@@ -422,3 +422,60 @@ func TestParseEventMode(t *testing.T) {
 		}
 	}
 }
+
+// TestEventChargingFold pins the charging fold: charging ticks fold into
+// held segments with the charger heat held at its segment-start value and
+// the pack charged once per segment at the segment-start rate. Scheduling
+// stays bit-identical to EventOff; the thermal plane stays within bands of
+// about twice the measured held-input error. Measured: pure CC 6.6e-5 °C
+// and 1.0e-5 relative; crossing CVThreshold 1.2e-3 °C and 6.2e-5; the pack
+// filling mid-run 2.0e-4 °C and 2.8e-5; the full daily mix, top-up
+// included, 5.2e-3 °C and 3.8e-5, dominated by the held leakage of its
+// discharging phases (the same 5.2e-3 °C as when charging ticks ran as
+// full ticks).
+func TestEventChargingFold(t *testing.T) {
+	cases := []struct {
+		name            string
+		soc             float64
+		w               workload.Workload
+		tempTol, relTol float64
+	}{
+		{"charging-cc", 0.2, workload.Charging(2), 0.0025, 1.5e-4},
+		{"charging-cv", 0.75, workload.Charging(2), 0.0025, 1.5e-4},
+		{"charging-fill", 0.98, workload.Charging(2), 0.0025, 1.5e-4},
+		{"daily-full", 0.6, workload.DailyMix(4), 0.012, 1e-4},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.InitialSoC = c.soc
+		oracle := runOracle(t, cfg, c.w, 0, nil)
+		jump := runEvent(t, cfg, c.w, 0, nil, EventJump)
+		requireSchedulingIdentical(t, c.name, oracle, jump)
+		requireThermalClose(t, c.name, oracle, jump, c.tempTol, c.relTol)
+	}
+}
+
+// TestEventChargingRunsNoFullTick pins that a jump run's only full tick is
+// its first: a full tick samples the workload without asking for its next
+// change, a held segment asks once per sample, so on Charging (a charger
+// attached every tick) the boundary calls trail the sample calls by
+// exactly one.
+func TestEventChargingRunsNoFullTick(t *testing.T) {
+	p := MustNew(DefaultConfig(), nil)
+	w := workload.Charging(2)
+	e := p.newEventRun(w, 600, workload.NextChangeOf(w))
+	var atCalls, boundaryCalls int
+	at, boundary := e.r.at, e.boundary
+	e.r.at = func(t float64) workload.Sample { atCalls++; return at(t) }
+	e.boundary = func(t float64) float64 { boundaryCalls++; return boundary(t) }
+	if _, err := e.run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if atCalls != boundaryCalls+1 {
+		t.Fatalf("%d workload samples for %d held segments; want one more sample (the first tick's) and no other full tick",
+			atCalls, boundaryCalls)
+	}
+	if steps := e.r.steps; atCalls*10 > steps {
+		t.Fatalf("%d segments for %d ticks: charging ticks are not folding", boundaryCalls, steps)
+	}
+}

@@ -10,7 +10,7 @@ import (
 // stepRun is one workload execution under tick-by-tick control: the run
 // state and per-tick aggregation shared by both stepping engines. The
 // fixed-tick loop (RunContext) drives every tick through tick, and the jump
-// engine (eventRun) runs its full ticks through tick and its close-out
+// engine (eventRun) runs its first tick through tick and its close-out
 // ticks through closeTick, so the two engines' observing ticks share one
 // protocol and cannot drift apart.
 type stepRun struct {
@@ -73,11 +73,15 @@ func (p *Phone) startRun(w workload.Workload, dur float64) *stepRun {
 }
 
 // tick advances exactly one fixed tick: workload sampling, power injection
-// and touch switching (stepPre), the thermal step, the sensor lags
-// following the new temperatures, then closeTick.
+// and touch switching (stepPre), the battery charge or drain over the tick,
+// the thermal step, the sensor lags following the new temperatures, then
+// closeTick.
 func (r *stepRun) tick() {
 	p := r.p
-	r.demand, _ = p.stepPre(r.at(p.timeSec), r.dt, false)
+	sample := r.at(p.timeSec)
+	var load float64
+	r.demand, load = p.stepPre(sample)
+	p.drainPack(sample.ChargeWatts > 0, load, r.dt)
 	p.net.Step(r.dt)
 	p.advanceSensors(r.dt)
 	r.closeTick()

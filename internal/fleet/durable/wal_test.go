@@ -11,7 +11,7 @@ import (
 
 // writeTestWAL creates a WAL with n small records and returns its path and
 // the records written.
-func writeTestWAL(t *testing.T, dir string, n int) (string, []Record) {
+func writeTestWAL(t testing.TB, dir string, n int) (string, []Record) {
 	t.Helper()
 	path := filepath.Join(dir, "t.wal")
 	w, err := Create(path)
@@ -247,4 +247,45 @@ func TestWALSyncBatching(t *testing.T) {
 	if w.unsynced != 0 {
 		t.Fatalf("after batch fsync: unsynced = %d, want 0", w.unsynced)
 	}
+}
+
+// FuzzOpenWAL opens arbitrary bytes as a WAL file. Open must never panic,
+// and when it accepts the file, replay and torn-tail truncation must be
+// idempotent: a second Open returns the same records without error.
+func FuzzOpenWAL(f *testing.F) {
+	path, _ := writeTestWAL(f, f.TempDir(), 3)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(full)
+	f.Add(full[:len(full)-3])            // torn final record
+	f.Add(full[:walHeaderLen+2])         // torn length prefix
+	f.Add(full[:walHeaderLen-1])         // torn header
+	f.Add([]byte{})                      // empty file
+	f.Add([]byte("NOTAWAL0 some bytes")) // foreign header
+	corrupt := append([]byte(nil), full...)
+	corrupt[walHeaderLen+6] ^= 0xff // mid-file damage
+	f.Add(corrupt)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := filepath.Join(t.TempDir(), "f.wal")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, recs, err := Open(p)
+		if err != nil {
+			return
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w2, recs2, err := Open(p)
+		if err != nil {
+			t.Fatalf("second Open of an accepted log: %v", err)
+		}
+		defer w2.Close()
+		if !sameRecords(recs, recs2) {
+			t.Fatalf("second Open replayed %d records, first %d", len(recs2), len(recs))
+		}
+	})
 }

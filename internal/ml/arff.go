@@ -35,8 +35,10 @@ func WriteARFF(w io.Writer, relation string, d *Dataset) error {
 	return bw.Flush()
 }
 
+// sanitizeName quotes a name that would not survive ReadARFF's field
+// split: one with a separator in it, or an empty one.
 func sanitizeName(s string) string {
-	if strings.ContainsAny(s, " \t,") {
+	if s == "" || strings.ContainsAny(s, " \t,") {
 		return "'" + s + "'"
 	}
 	return s

@@ -123,3 +123,47 @@ func TestARFFTrainableAfterImport(t *testing.T) {
 		t.Fatalf("mean after round trip = %v want %v", got, want)
 	}
 }
+
+// FuzzReadARFF feeds arbitrary bytes to the ARFF reader. It must never
+// panic, and any stream it accepts must survive a WriteARFF → ReadARFF
+// round trip with the same shape: attribute count, row count and the
+// attribute names.
+func FuzzReadARFF(f *testing.F) {
+	d := NewDataset("cpu_temp_c", "has space")
+	d.Add([]float64{55.5, 0.8}, 38.2)
+	d.Add([]float64{42.1, 0.3}, 33.0)
+	var sb strings.Builder
+	if err := WriteARFF(&sb, "usta corpus", d); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sb.String())
+	f.Add("% a comment\n@RELATION test\n\n@ATTRIBUTE x NUMERIC\n@ATTRIBUTE target NUMERIC\n\n@DATA\n% data comment\n1.5, 3.0\n\n2.5, 5.0\n")
+	f.Add("@RELATION r\n@ATTRIBUTE x REAL\n@ATTRIBUTE target INTEGER\n@DATA\nNaN,+Inf\n-0,1e308\n")
+	// Regression row: an empty quoted name must be written quoted, or the
+	// re-read fails with "malformed @attribute".
+	f.Add("@RELATION r\n@ATTRIBUTE '' NUMERIC\n@ATTRIBUTE target NUMERIC\n@DATA\n1,2\n")
+	f.Add("@RELATION r\n@ATTRIBUTE x {a,b}\n@ATTRIBUTE target NUMERIC\n@DATA\na,1\n")
+	f.Add("@RELATION r\n@ATTRIBUTE x NUMERIC\n@ATTRIBUTE target NUMERIC\n@DATA\n1,2,3\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := ReadARFF(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out strings.Builder
+		if err := WriteARFF(&out, "fuzz", got); err != nil {
+			t.Fatalf("WriteARFF of an accepted dataset: %v", err)
+		}
+		back, err := ReadARFF(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("re-read of written dataset: %v\n%s", err, out.String())
+		}
+		if back.Len() != got.Len() || back.NumAttrs() != got.NumAttrs() {
+			t.Fatalf("round trip shape %d x %d, want %d x %d", back.Len(), back.NumAttrs(), got.Len(), got.NumAttrs())
+		}
+		for i, name := range got.AttrNames {
+			if back.AttrNames[i] != name {
+				t.Fatalf("attribute %d round-trips as %q, want %q", i, back.AttrNames[i], name)
+			}
+		}
+	})
+}
